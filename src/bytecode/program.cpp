@@ -64,6 +64,77 @@ SwitchInfo decode_switch(std::span<const uint8_t> code, uint32_t pc) {
   return si;
 }
 
+uint32_t switch_target(std::span<const uint8_t> code, uint32_t pc, int64_t key) {
+  SOD_CHECK(static_cast<Op>(code[pc]) == Op::LOOKUPSWITCH, "not a lookupswitch");
+  uint16_t npairs;
+  uint32_t tgt;
+  std::memcpy(&npairs, code.data() + pc + 1, 2);
+  std::memcpy(&tgt, code.data() + pc + 3, 4);
+  const uint8_t* at = code.data() + pc + 7;
+  for (uint16_t k = 0; k < npairs; ++k, at += 12) {
+    int64_t k64;
+    std::memcpy(&k64, at, 8);
+    if (k64 == key) {
+      std::memcpy(&tgt, at + 8, 4);
+      break;
+    }
+  }
+  return tgt;
+}
+
+namespace {
+
+/// Decode `m` into one entry per code byte.  Decoding stops at the first
+/// bad opcode or truncated instruction, leaving the rest "not an
+/// instruction start": malformed code panics when it is reached, as
+/// before, not when a VM is built on the program.
+DecodedMethod decode_method(const Method& m) {
+  DecodedMethod dm;
+  dm.code = m.code;
+  dm.stmt_starts = m.stmt_starts;
+  dm.ops.resize(m.code.size());
+  const auto size = static_cast<uint32_t>(m.code.size());
+  for (uint32_t pc = 0; pc < size;) {
+    if (m.code[pc] >= static_cast<uint8_t>(Op::kOpCount_)) break;
+    if (static_cast<Op>(m.code[pc]) == Op::LOOKUPSWITCH && pc + 3 > size) break;
+    uint32_t n = instr_size(m.code, pc);
+    if (n > size - pc) break;
+    SOD_CHECK(n <= UINT16_MAX, "lookupswitch too large to pre-decode in " + m.name);
+    Instr in = decode(m.code, pc);
+    dm.ops[pc] = {in.op, 0, static_cast<uint16_t>(n), in.arg};
+    pc += n;
+  }
+  for (uint32_t s : m.stmt_starts)
+    if (s < size) dm.ops[s].flags |= DecodedInstr::kMsp;
+  return dm;
+}
+
+}  // namespace
+
+DecodedProgram DecodedProgram::build(const Program& p) {
+  DecodedProgram dp;
+  dp.methods.reserve(p.methods.size());
+  for (const Method& m : p.methods) dp.methods.push_back(decode_method(m));
+  return dp;
+}
+
+bool DecodedProgram::matches(const Program& p) const {
+  if (methods.size() != p.methods.size()) return false;
+  for (size_t i = 0; i < methods.size(); ++i) {
+    if (methods[i].code != p.methods[i].code) return false;
+    if (methods[i].stmt_starts != p.methods[i].stmt_starts) return false;
+  }
+  return true;
+}
+
+std::shared_ptr<const DecodedProgram> Program::decoded() const {
+  MutexLock lk(decode_cache_.mu);
+  auto& table = decode_cache_.table;
+  if (!table || !table->matches(*this))
+    table = std::make_shared<const DecodedProgram>(DecodedProgram::build(*this));
+  return table;
+}
+
 const Class& Program::cls(uint16_t id) const {
   SOD_CHECK(id < classes.size(), "bad class id");
   return classes[id];

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,6 +24,7 @@
 
 #include "bytecode/ops.h"
 #include "bytecode/types.h"
+#include "support/thread_annotations.h"
 
 namespace sod::bc {
 
@@ -120,6 +122,42 @@ struct SwitchInfo {
 
 Instr decode(std::span<const uint8_t> code, uint32_t pc);
 SwitchInfo decode_switch(std::span<const uint8_t> code, uint32_t pc);
+/// Branch target a LOOKUPSWITCH at `pc` takes for `key` (no allocation).
+uint32_t switch_target(std::span<const uint8_t> code, uint32_t pc, int64_t key);
+
+/// One pre-decoded instruction: the interpreter's dispatch entry.  Tables
+/// are indexed by *byte* pc, so branch targets, captured pcs, breakpoints
+/// and statement starts keep their byte-offset meaning; bytes that do not
+/// start an instruction hold op == kOpCount_.  ICONST/DCONST immediates
+/// and LOOKUPSWITCH payloads stay in the code bytes.
+struct DecodedInstr {
+  static constexpr uint8_t kMsp = 1;  ///< flag: pc is a statement start (MSP)
+
+  Op op = Op::kOpCount_;
+  uint8_t flags = 0;
+  uint16_t size = 0;  ///< encoded size, as Instr::size
+  uint32_t arg = 0;   ///< u8/u16 operand or branch target, as Instr::arg
+};
+static_assert(sizeof(DecodedInstr) == 8, "dispatch entries must stay 8 bytes");
+
+struct DecodedMethod {
+  std::vector<uint8_t> code;          ///< the code `ops` was decoded from
+  std::vector<uint32_t> stmt_starts;  ///< the statement table behind kMsp
+  std::vector<DecodedInstr> ops;      ///< one entry per code byte
+};
+
+class Program;
+
+/// Every method of a Program decoded once.  Immutable after build and
+/// shared read-only by all VMs on the program (see Program::decoded).
+struct DecodedProgram {
+  std::vector<DecodedMethod> methods;
+
+  static DecodedProgram build(const Program& p);
+  /// True while every method's code and statement table still equal the
+  /// ones this table was decoded from.
+  bool matches(const Program& p) const;
+};
 
 class Program {
  public:
@@ -154,6 +192,28 @@ class Program {
   /// to a freshly spawned worker).
   std::vector<uint8_t> serialize() const;
   static Program deserialize(std::span<const uint8_t> bytes);
+
+  /// The shared decode of the current code.  Methods are public and
+  /// rewritten in place (the preprocessor does), so the cached table is
+  /// checked against the live code on every call and rebuilt when stale;
+  /// a holder of an older table keeps it unchanged.  Thread-safe.
+  std::shared_ptr<const DecodedProgram> decoded() const;
+
+ private:
+  /// Copies and assignments start with an empty cache: a table belongs
+  /// to the code it was decoded from.
+  struct DecodeCache {
+    DecodeCache() = default;
+    DecodeCache(const DecodeCache&) {}
+    DecodeCache& operator=(const DecodeCache&) {
+      MutexLock lk(mu);
+      table.reset();
+      return *this;
+    }
+    Mutex mu;
+    std::shared_ptr<const DecodedProgram> table SOD_GUARDED_BY(mu);
+  };
+  mutable DecodeCache decode_cache_;
 };
 
 }  // namespace sod::bc

@@ -22,6 +22,17 @@ void write_value(ByteWriter& w, const Value& v, bool home_refs) {
   }
 }
 
+/// Bytes write_value emits for `v`.
+size_t value_size(const Value& v, bool home_refs) {
+  switch (v.tag) {
+    case Ty::I64:
+    case Ty::F64: return 1 + 8;
+    case Ty::Ref: return 1 + (home_refs ? 4 : 1);
+    case Ty::Void: break;
+  }
+  SOD_UNREACHABLE("void value");
+}
+
 Value read_value(ByteReader& r, bool home_refs) {
   Ty t = static_cast<Ty>(r.u8());
   switch (t) {
@@ -83,9 +94,17 @@ CapturedState CapturedState::deserialize(ByteReader& r) {
 }
 
 size_t CapturedState::wire_size() const {
-  ByteWriter w;
-  serialize(w);
-  return w.size();
+  // Mirrors serialize() byte for byte: the network is charged this figure.
+  auto values_size = [this](const std::vector<Value>& vs) {
+    size_t n = 0;
+    for (const auto& v : vs) n += value_size(v, home_refs);
+    return n;
+  };
+  size_t n = 1 + 2;  // home_refs flag, frame count
+  for (const auto& f : frames) n += 2 + 4 + 2 + 2 + values_size(f.locals);
+  n += 2;  // statics count
+  for (const auto& s : statics) n += 2 + 2 + values_size(s.values);
+  return n;
 }
 
 }  // namespace sod::mig

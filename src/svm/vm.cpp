@@ -1,6 +1,8 @@
 #include "svm/vm.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "bytecode/disasm.h"
 
@@ -19,7 +21,8 @@
 
 namespace sod::svm {
 
-using bc::Instr;
+using bc::DecodedInstr;
+using bc::DecodedMethod;
 using bc::Method;
 using bc::Op;
 using bc::Program;
@@ -27,7 +30,11 @@ using bc::Program;
 VM::VM(const Program& prog, const NativeRegistry* natives) : VM(prog, natives, Config{}) {}
 
 VM::VM(const Program& prog, const NativeRegistry* natives, Config cfg)
-    : prog_(&prog), natives_(natives), cfg_(cfg), heap_(cfg.heap_limit_bytes) {
+    : prog_(&prog),
+      decoded_(prog.decoded()),
+      natives_(natives),
+      cfg_(cfg),
+      heap_(cfg.heap_limit_bytes) {
   rt_.resize(prog.classes.size());
   for (size_t c = 0; c < prog.classes.size(); ++c) {
     auto& r = rt_[c];
@@ -38,30 +45,39 @@ VM::VM(const Program& prog, const NativeRegistry* natives, Config cfg)
       (f.is_static ? r.static_types : r.inst_types)[f.slot] = f.type;
     }
   }
-  local_types_cache_.resize(prog.methods.size());
+  zero_locals_.resize(prog.methods.size());
 }
 
-const std::vector<Ty>& VM::local_types(uint16_t method_id) {
-  auto& cache = local_types_cache_[method_id];
-  if (cache.empty()) {
+const std::vector<Value>& VM::zero_locals(uint16_t method_id) {
+  ZeroLocals& z = zero_locals_[method_id];
+  if (!z.ready) {
     const Method& m = prog_->method(method_id);
-    cache.assign(m.num_locals, Ty::I64);
-    for (const auto& v : m.var_table) cache[v.slot] = v.type;
-    if (m.num_locals == 0) cache.push_back(Ty::I64);  // keep non-empty as "computed" marker
+    z.values.assign(m.num_locals, Value::of_i64(0));
+    for (const auto& v : m.var_table) z.values[v.slot] = Value::zero_of(v.type);
+    z.ready = true;
   }
-  return cache;
+  return z.values;
 }
 
 Frame VM::make_frame(uint16_t method_id) {
   const Method& m = prog_->method(method_id);
   Frame f;
+  if (!frame_pool_.empty()) {
+    f = std::move(frame_pool_.back());
+    frame_pool_.pop_back();
+  }
   f.method = method_id;
   f.pc = 0;
-  const auto& lt = local_types(method_id);
-  f.locals.reserve(m.num_locals);
-  for (uint16_t i = 0; i < m.num_locals; ++i) f.locals.push_back(Value::zero_of(lt[i]));
+  const auto& zero = zero_locals(method_id);
+  f.locals.assign(zero.begin(), zero.end());
+  f.ostack.clear();
   f.ostack.reserve(m.max_stack);
   return f;
+}
+
+void VM::pop_frame(GuestThread& th) {
+  frame_pool_.push_back(std::move(th.frames.back()));
+  th.frames.pop_back();
 }
 
 int VM::spawn(uint16_t method_id, std::span<const Value> args) {
@@ -187,7 +203,7 @@ bool VM::dispatch_exception(GuestThread& th, Ref ex, uint32_t throw_pc) {
         return true;
       }
     }
-    th.frames.pop_back();
+    pop_frame(th);
     if (!th.frames.empty()) {
       // Caller's pc is the return address; the INVOKE instruction that is
       // conceptually "throwing" sits just before it.
@@ -222,13 +238,15 @@ RunResult VM::run(int tid, uint64_t budget) {
 // budget, pause/breakpoint/safepoint checks, and frame re-seating.  The fast
 // path between straight-line instructions skips all of that and only
 // re-checks the flags that could have been set by the handler itself.
+// Both paths read the pre-decoded entry at the byte pc; a pc past the code
+// or inside an instruction lands on vm_bad_pc.
 #if SOD_COMPUTED_GOTO
 #define VM_LABEL(name) h_##name
 #define VM_DISPATCH_FAST()                                        \
   do {                                                            \
     if (executed >= budget || pause_req_ || debug_) goto vm_top;  \
-    pc = f->pc;                                                   \
-    in = bc::decode(m->code, pc);                                 \
+    if (pc >= ncode) goto vm_bad_pc;                              \
+    in = ops[pc];                                                 \
     next = pc + in.size;                                          \
     ++executed;                                                   \
     ++instrs_;                                                    \
@@ -236,12 +254,14 @@ RunResult VM::run(int tid, uint64_t budget) {
   } while (0)
 #define VM_NEXT()          \
   do {                     \
-    f->pc = next;          \
+    pc = next;             \
+    f->pc = pc;            \
     VM_DISPATCH_FAST();    \
   } while (0)
 #define VM_JUMP(target)    \
   do {                     \
-    f->pc = (target);      \
+    pc = (target);         \
+    f->pc = pc;            \
     VM_DISPATCH_FAST();    \
   } while (0)
 #else
@@ -263,10 +283,13 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
   const Program& P = *prog_;
 
   Frame* f = nullptr;
-  const Method* m = nullptr;
+  const DecodedMethod* dm = nullptr;
+  const DecodedInstr* ops = nullptr;  // dm->ops, indexed by byte pc
+  const uint8_t* code = nullptr;      // dm->code, for immediates
+  uint32_t ncode = 0;
   uint32_t pc = 0;
   uint32_t next = 0;
-  Instr in{};
+  DecodedInstr in{};
 
   auto push = [&](Value v) { f->ostack.push_back(v); };
   auto pop = [&]() {
@@ -282,7 +305,8 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
   } while (0)
 
 #if SOD_COMPUTED_GOTO
-  // One entry per opcode, in bc::Op declaration order.
+  // One entry per opcode, in bc::Op declaration order, plus kOpCount_:
+  // the decoded table's marker for a pc that is not an instruction start.
   static const void* const kJump[] = {
       &&h_NOP,        &&h_ICONST,     &&h_DCONST,     &&h_ACONST_NULL, &&h_LDC_STR,
       &&h_ILOAD,      &&h_DLOAD,      &&h_ALOAD,      &&h_ISTORE,      &&h_DSTORE,
@@ -297,9 +321,9 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
       &&h_PUTFIELD,   &&h_GETSTATIC,  &&h_PUTSTATIC,  &&h_NEW,         &&h_NEWARRAY,
       &&h_IALOAD,     &&h_IASTORE,    &&h_DALOAD,     &&h_DASTORE,     &&h_AALOAD,
       &&h_AASTORE,    &&h_ARRAYLEN,   &&h_INVOKE,     &&h_INVOKENATIVE, &&h_RETURN,
-      &&h_IRETURN,    &&h_DRETURN,    &&h_ARETURN,    &&h_THROW,
+      &&h_IRETURN,    &&h_DRETURN,    &&h_ARETURN,    &&h_THROW,      &&vm_bad_pc,
   };
-  static_assert(sizeof(kJump) / sizeof(kJump[0]) == static_cast<size_t>(bc::kNumOps),
+  static_assert(sizeof(kJump) / sizeof(kJump[0]) == static_cast<size_t>(bc::kNumOps) + 1,
                 "jump table out of sync with bc::Op");
 #endif
 
@@ -308,25 +332,30 @@ vm_top:
   if (th.frames.empty()) goto vm_done;
 
   f = &th.frames.back();
-  m = &P.method(f->method);
+  SOD_CHECK(f->method < decoded_->methods.size(), "bad method id");
+  dm = &decoded_->methods[f->method];
+  ops = dm->ops.data();
+  code = dm->code.data();
+  ncode = static_cast<uint32_t>(dm->ops.size());
   pc = f->pc;
 
   if (pause_req_) {
     pause_req_ = false;
     return {StopReason::Trap, executed};
   }
+  if (pc >= ncode) goto vm_bad_pc;
+  in = ops[pc];
   if (debug_) {
-    if (!th.resume_skip_bp && bps_.count(bp_key(f->method, pc))) {
+    if (!th.resume_skip_bp && !bps_.empty() && bps_.count(bp_key(f->method, pc))) {
       th.resume_skip_bp = true;
       return {StopReason::Breakpoint, executed};
     }
     th.resume_skip_bp = false;
-    if (safepoint_req_ && m->is_stmt_start(pc) && f->ostack.empty()) {
+    if (safepoint_req_ && (in.flags & DecodedInstr::kMsp) && f->ostack.empty()) {
       return {StopReason::SafePoint, executed};
     }
   }
 
-  in = bc::decode(m->code, pc);
   next = pc + in.size;
   ++executed;
   ++instrs_;
@@ -339,8 +368,18 @@ vm_top:
 
   VM_LABEL(NOP) : VM_NEXT();
 
-  VM_LABEL(ICONST) : push(Value::of_i64(in.imm_i)); VM_NEXT();
-  VM_LABEL(DCONST) : push(Value::of_f64(in.imm_d)); VM_NEXT();
+  VM_LABEL(ICONST) : {
+    int64_t v;
+    std::memcpy(&v, code + pc + 1, 8);
+    push(Value::of_i64(v));
+    VM_NEXT();
+  }
+  VM_LABEL(DCONST) : {
+    double v;
+    std::memcpy(&v, code + pc + 1, 8);
+    push(Value::of_f64(v));
+    VM_NEXT();
+  }
   VM_LABEL(ACONST_NULL) : push(Value::null()); VM_NEXT();
   VM_LABEL(LDC_STR) : push(Value::of_ref(intern_pool_string(static_cast<uint16_t>(in.arg)))); VM_NEXT();
 
@@ -413,14 +452,9 @@ vm_top:
 
   VM_LABEL(LOOKUPSWITCH) : {
     int64_t key = pop().i;
-    bc::SwitchInfo si = bc::decode_switch(m->code, pc);
-    uint32_t tgt = si.default_target;
-    for (auto& [k, t] : si.pairs)
-      if (k == key) {
-        tgt = t;
-        break;
-      }
-    VM_JUMP(tgt);
+    // No owning local here: leaving a handler by computed goto runs no
+    // destructors, so a decoded SwitchInfo would leak.
+    VM_JUMP(bc::switch_target(dm->code, pc, key));
   }
 
   VM_LABEL(GETFIELD) : {
@@ -603,7 +637,7 @@ vm_top:
     Value rv{};
     bool has = in.op != Op::RETURN;
     if (has) rv = pop();
-    th.frames.pop_back();
+    pop_frame(th);
     if (th.frames.empty()) {
       th.status = ThreadStatus::Done;
       th.result = rv;
@@ -622,10 +656,20 @@ vm_top:
   }
 
 #if !SOD_COMPUTED_GOTO
-  case Op::kOpCount_: SOD_UNREACHABLE("bad opcode");
+  case Op::kOpCount_: goto vm_bad_pc;
   }
   SOD_UNREACHABLE("fell out of dispatch switch");
 #endif
+
+vm_bad_pc: {
+  // Built piecewise: `"lit" + std::string` trips gcc 12's -Wrestrict false
+  // positive (PR 105651) under -O2.
+  std::string msg("pc ");
+  msg += std::to_string(pc);
+  msg += " is not an instruction start in ";
+  msg += P.method(f->method).name;
+  SOD_UNREACHABLE(msg);
+}
 
 handle_pending: {
   SOD_CHECK(pending_, "handle_pending without pending exception");

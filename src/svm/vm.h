@@ -13,10 +13,20 @@
 // both of the paper's key mechanisms — restoration handlers driven by
 // InvalidStateException and object faulting driven by
 // NullPointerException — are guest-level control flow.
+//
+// Hot path.  Code is decoded once per program, not per instruction: every
+// VM on a Program holds the same immutable bc::DecodedProgram (8-byte
+// entries indexed by byte pc, with an MSP flag) and dispatches from it
+// without a lock.  A VM takes the table when it is built, from
+// Program::decoded(), which rebuilds it if the code was rewritten since;
+// a running VM keeps the table it started with.  Calls do not allocate:
+// popped frames go to a per-VM pool, and a pushed frame reuses a pooled
+// frame's vectors, refilled from the method's typed zero locals.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -88,6 +98,8 @@ class VM {
   VM(const bc::Program& prog, const NativeRegistry* natives);
 
   const bc::Program& program() const { return *prog_; }
+  /// The pre-decoded code this VM dispatches from (shared, immutable).
+  const bc::DecodedProgram& decoded() const { return *decoded_; }
   Heap& heap() { return heap_; }
   const Heap& heap() const { return heap_; }
 
@@ -178,20 +190,30 @@ class VM {
     return (static_cast<uint64_t>(m) << 32) | pc;
   }
 
-  const std::vector<Ty>& local_types(uint16_t method_id);
+  /// Typed zero value of every local of `method_id` (Ref slots null).
+  const std::vector<Value>& zero_locals(uint16_t method_id);
+  /// A fresh frame for `method_id`, built from pooled storage if any.
   Frame make_frame(uint16_t method_id);
+  /// Pop `th`'s top frame into the pool.
+  void pop_frame(GuestThread& th);
   /// Dispatch a pending guest exception; returns false if uncaught
   /// (thread crashed).
   bool dispatch_exception(GuestThread& th, Ref ex, uint32_t throw_pc);
   RunResult loop(GuestThread& th, uint64_t budget);
 
   const bc::Program* prog_;
+  std::shared_ptr<const bc::DecodedProgram> decoded_;
   const NativeRegistry* natives_;
   Config cfg_;
   Heap heap_;
   std::vector<ClassRT> rt_;
   std::vector<GuestThread> threads_;
-  std::vector<std::vector<Ty>> local_types_cache_;
+  struct ZeroLocals {
+    bool ready = false;
+    std::vector<Value> values;
+  };
+  std::vector<ZeroLocals> zero_locals_;
+  std::vector<Frame> frame_pool_;
   std::unordered_map<uint16_t, Ref> pool_strings_;
   std::unordered_map<Ref, std::string> ex_msgs_;
 

@@ -1,7 +1,12 @@
 // Interpreter semantics: arithmetic, control flow, locals, recursion,
-// arrays, objects, statics, strings, natives, budget/pause behaviour.
+// arrays, objects, statics, strings, natives, budget/pause behaviour; the
+// pre-decoded dispatch table and the recycled frame pool.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "apps/apps.h"
+#include "prep/prep.h"
 #include "testlib.h"
 
 namespace sod {
@@ -422,6 +427,176 @@ TEST(Interp, InstructionCounting) {
   uint64_t before = vm.instr_count();
   vm.call("Main.fib", std::vector<Value>{Value::of_i64(10)});
   EXPECT_GT(vm.instr_count(), before + 100);
+}
+
+
+// --- pre-decoded dispatch table ---
+
+TEST(Decoded, TableMatchesDecodeAtEveryInstructionOfEveryTableIApp) {
+  for (const apps::AppSpec& spec : apps::table1_apps()) {
+    bc::Program p = spec.build();
+    prep::preprocess_program(p);
+    svm::VM vm(p, nullptr);
+    const bc::DecodedProgram& dp = vm.decoded();
+    ASSERT_EQ(dp.methods.size(), p.methods.size()) << spec.name;
+    int starts = 0, msps = 0;
+    for (const bc::Method& m : p.methods) {
+      const auto& ops = dp.methods[m.id].ops;
+      ASSERT_EQ(ops.size(), m.code.size()) << m.name;
+      uint32_t next_start = 0;
+      for (uint32_t pc = 0; pc < m.code.size(); ++pc) {
+        const bc::DecodedInstr& e = ops[pc];
+        if (pc != next_start) {
+          EXPECT_EQ(e.op, Op::kOpCount_) << m.name << " pc " << pc;
+          continue;
+        }
+        bc::Instr in = bc::decode(m.code, pc);
+        EXPECT_EQ(e.op, in.op) << m.name << " pc " << pc;
+        EXPECT_EQ(e.size, in.size) << m.name << " pc " << pc;
+        EXPECT_EQ(e.arg, in.arg) << m.name << " pc " << pc;
+        const bool msp = (e.flags & bc::DecodedInstr::kMsp) != 0;
+        EXPECT_EQ(msp, m.is_stmt_start(pc)) << m.name << " pc " << pc;
+        ++starts;
+        msps += msp ? 1 : 0;
+        next_start = pc + in.size;
+      }
+      EXPECT_EQ(next_start, m.code.size()) << m.name;
+    }
+    EXPECT_GT(starts, 0) << spec.name;
+    EXPECT_GT(msps, 0) << spec.name;
+  }
+}
+
+/// M.f() = 5 via `iconst 5; goto L; L: ireturn`, with the GOTO target
+/// patched to `target`.
+bc::Program goto_program(uint32_t target) {
+  ProgramBuilder pb;
+  auto& f = pb.cls("M").method("f", {}, Ty::I64);
+  Label l = f.label();
+  f.stmt().iconst(5).go(l);
+  f.bind(l).iret();
+  auto p = pb.build();
+  auto& code = p.method_mut(p.find_method("M.f")).code;
+  EXPECT_EQ(static_cast<Op>(code[9]), Op::GOTO);
+  std::memcpy(code.data() + 10, &target, 4);
+  return p;
+}
+
+TEST(Decoded, JumpIntoTheMiddleOfAnInstructionPanics) {
+  EXPECT_EQ(run1(goto_program(14), "M.f", {}).as_i64(), 5);  // the real target
+  EXPECT_DEATH(run1(goto_program(3), "M.f", {}), "pc 3 is not an instruction start in M.f");
+  EXPECT_DEATH(run1(goto_program(1000), "M.f", {}), "pc 1000 is not an instruction start");
+}
+
+TEST(Decoded, RewrittenCodeGivesALaterVmAFreshTable) {
+  ProgramBuilder pb;
+  pb.cls("M").method("k", {}, Ty::I64).stmt().iconst(7).iret();
+  auto p = pb.build();
+  const uint16_t k = p.find_method("M.k");
+  svm::VM before(p, nullptr);
+  svm::VM twin(p, nullptr);
+  EXPECT_EQ(&before.decoded(), &twin.decoded());  // one table per program
+
+  int64_t nine = 9;
+  std::memcpy(p.method_mut(k).code.data() + 1, &nine, 8);
+  svm::VM after(p, nullptr);
+  EXPECT_NE(&before.decoded(), &after.decoded());
+  EXPECT_TRUE(after.decoded().matches(p));
+  EXPECT_FALSE(before.decoded().matches(p));
+  EXPECT_EQ(after.call("M.k", {}).as_i64(), 9);
+  // A VM built before the rewrite keeps the table (and code) it started with.
+  EXPECT_EQ(before.call("M.k", {}).as_i64(), 7);
+
+  // A real rewrite: preprocessing changes every method's code.
+  auto fib = fib_program();
+  svm::VM raw(fib, nullptr);
+  prep::preprocess_program(fib);
+  svm::VM prepped(fib, nullptr);
+  EXPECT_NE(&raw.decoded(), &prepped.decoded());
+  EXPECT_TRUE(prepped.decoded().matches(fib));
+  EXPECT_EQ(prepped.call("Main.fib", std::vector<Value>{Value::of_i64(15)}).as_i64(),
+            fib_ref(15));
+}
+
+// --- recycled frames ---
+
+/// deep(n) fills its locals (i64, f64, ref) and recurses; probe() has the
+/// same layout and returns a checksum of its untouched locals, so any
+/// value leaking out of a recycled frame makes it non-zero.
+bc::Program recycle_program() {
+  ProgramBuilder pb;
+  pb.cls("Box").field("v", Ty::I64);
+  auto& c = pb.cls("M");
+  auto& deep = c.method("deep", {{"n", Ty::I64}}, Ty::I64);
+  {
+    uint16_t x = deep.local("x", Ty::I64);
+    uint16_t d = deep.local("d", Ty::F64);
+    uint16_t r = deep.local("r", Ty::Ref);
+    Label base = deep.label();
+    deep.stmt().iload("n").ifle(base);
+    deep.stmt().iload("n").iconst(1000).iadd().istore(x);
+    deep.stmt().dconst(2.5).dstore(d);
+    deep.stmt().new_("Box").astore(r);
+    deep.stmt().iload("n").iconst(1).isub().invoke("M.deep").iload(x).iadd().iret();
+    deep.bind(base).stmt().iconst(0).iret();
+  }
+  auto& probe = c.method("probe", {}, Ty::I64);
+  {
+    uint16_t x = probe.local("x", Ty::I64);
+    uint16_t d = probe.local("d", Ty::F64);
+    uint16_t r = probe.local("r", Ty::Ref);
+    uint16_t extra = probe.local("extra", Ty::Ref);
+    Label null_ok = probe.label(), extra_ok = probe.label();
+    probe.stmt().aload(r).ifnull(null_ok);
+    probe.stmt().iconst(-1).iret();
+    probe.bind(null_ok).stmt().aload(extra).ifnull(extra_ok);
+    probe.stmt().iconst(-2).iret();
+    probe.bind(extra_ok).stmt().iload(x).dload(d).d2i().iadd().iret();
+  }
+  auto& main = c.method("main", {{"n", Ty::I64}}, Ty::I64);
+  uint16_t t = main.local("t", Ty::I64);
+  main.stmt().iload("n").invoke("M.deep").istore(t);
+  main.stmt().invoke("M.probe").iret();
+  return pb.build();
+}
+
+TEST(FramePool, FramesPushedAfterDeepRecursionStartZeroed) {
+  auto p = recycle_program();
+  EXPECT_EQ(run1(p, "M.main", {Value::of_i64(40)}).as_i64(), 0);  // fast mode
+
+  // Stop at probe's first instruction and read the frame as capture would.
+  const uint16_t probe = p.find_method("M.probe");
+  svm::VM vm(p, nullptr);
+  vm.set_debug_mode(true);
+  vm.add_breakpoint(probe, 0);
+  int tid = vm.spawn(p.find_method("M.main"), std::vector<Value>{Value::of_i64(40)});
+  ASSERT_EQ(vm.run(tid).reason, StopReason::Breakpoint);
+  const auto& frames = vm.thread(tid).frames;
+  ASSERT_EQ(frames.size(), 2u);
+  const svm::Frame& f = frames.back();
+  EXPECT_EQ(f.method, probe);
+  ASSERT_EQ(f.locals.size(), 4u);
+  EXPECT_TRUE(f.locals[0].same_as(Value::of_i64(0)));
+  EXPECT_TRUE(f.locals[1].same_as(Value::of_f64(0)));
+  EXPECT_TRUE(f.locals[2].same_as(Value::null()));
+  EXPECT_TRUE(f.locals[3].same_as(Value::null()));
+  EXPECT_TRUE(f.ostack.empty());
+
+  // A second deep call reuses the pooled frames and sees zeroed locals too.
+  vm.remove_breakpoint(probe, 0);
+  const uint16_t deep = p.find_method("M.deep");
+  vm.add_breakpoint(deep, 0);
+  int tid2 = vm.spawn(deep, std::vector<Value>{Value::of_i64(3)});
+  ASSERT_EQ(vm.run(tid2).reason, StopReason::Breakpoint);
+  ASSERT_EQ(vm.run(tid2).reason, StopReason::Breakpoint);
+  const svm::Frame& g = vm.thread(tid2).frames.back();
+  EXPECT_TRUE(g.locals[0].same_as(Value::of_i64(2)));  // the argument
+  EXPECT_TRUE(g.locals[1].same_as(Value::of_i64(0)));
+  EXPECT_TRUE(g.locals[2].same_as(Value::of_f64(0)));
+  EXPECT_TRUE(g.locals[3].same_as(Value::null()));
+  vm.clear_breakpoints();
+  EXPECT_EQ(vm.run(tid).reason, StopReason::Done);
+  EXPECT_EQ(vm.thread(tid).result.as_i64(), 0);
 }
 
 }  // namespace

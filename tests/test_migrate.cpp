@@ -3,6 +3,9 @@
 // Fig. 1 flows: return-to-home, total migration, multi-hop workflow.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "apps/apps.h"
 #include "prep/prep.h"
 #include "sod/migrate.h"
 #include "testlib.h"
@@ -293,6 +296,69 @@ TEST(Migrate, CapturedStateSerializationRoundTrip) {
       EXPECT_TRUE(cs2.frames[i].locals[k].same_as(cs.frames[i].locals[k]));
   }
   ASSERT_EQ(cs2.statics.size(), cs.statics.size());
+}
+
+/// wire_size() is counted, not serialized: it must equal the serialized
+/// size byte for byte under both ref encodings, or every virtual transfer
+/// time moves.
+void expect_wire_size_exact(const mig::CapturedState& cs, const std::string& where) {
+  for (bool home_refs : {false, true}) {
+    mig::CapturedState v = cs;
+    v.home_refs = home_refs;
+    ByteWriter w;
+    v.serialize(w);
+    EXPECT_EQ(v.wire_size(), w.size()) << where << " home_refs=" << home_refs;
+  }
+}
+
+TEST(Migrate, WireSizeEqualsSerializedSizeOnEveryTableIApp) {
+  const sim::Link link = sim::Link::gigabit();
+  for (const apps::AppSpec& spec : apps::table1_apps()) {
+    bc::Program p = spec.build();
+    prep::preprocess_program(p);
+    const uint16_t entry = p.find_method(spec.entry);
+    uint64_t total = 0;
+    {
+      SodNode ref("ref", p, {});
+      int tid = ref.vm().spawn(entry, spec.bench_args);
+      ref.run_guest(tid);
+      total = ref.vm().instr_count();
+    }
+    int captures = 0, checkpoints = 0;
+    for (int pct : {5, 30, 60, 90}) {
+      const std::string where = spec.name + " at " + std::to_string(pct) + "%";
+      SodNode home("home", p, {});
+      SodNode worker("worker", p, {});
+      worker.enable_class_fetch(&home, link);
+      int tid = home.vm().spawn(entry, spec.bench_args);
+      home.run_guest(tid, total * static_cast<uint64_t>(pct) / 100);
+      if (!mig::pause_at_next_msp(home, tid)) continue;
+      // The top frame alone, then the whole stack (which runs long enough
+      // on the worker to be checkpointed).
+      const int k = static_cast<int>(home.vm().thread(tid).frames.size());
+      expect_wire_size_exact(mig::capture_segment(home, tid, mig::SegmentSpec{0, 1}), where);
+      mig::CapturedState cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, k});
+      home.ti().set_debug_enabled(false);
+      EXPECT_FALSE(cs.home_refs);
+      expect_wire_size_exact(cs, where);
+      ++captures;
+
+      mig::Segment seg(worker);
+      seg.objman().bind_home(&home, tid, k, link);
+      seg.restore(cs);
+      mig::CheckpointDeltas deltas;
+      for (int c = 0; c < 3 && seg.run_chunk(total / 50 + 1) == svm::StopReason::SafePoint;
+           ++c) {
+        mig::SegmentCheckpoint ck = mig::checkpoint_segment(seg, home, link, deltas);
+        EXPECT_TRUE(ck.state.home_refs);
+        EXPECT_EQ(ck.state_bytes, ck.state.wire_size()) << where;
+        expect_wire_size_exact(ck.state, where + " checkpoint");
+        ++checkpoints;
+      }
+    }
+    EXPECT_GE(captures, 3) << spec.name;
+    EXPECT_GE(checkpoints, 1) << spec.name;
+  }
 }
 
 TEST(Migrate, TransferTimeScalesWithBandwidth) {
