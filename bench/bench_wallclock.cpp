@@ -70,13 +70,15 @@ RunRec run_once(int threads, int rounds) {
 
   auto policy = cluster::make_policy(cluster::PolicyKind::LeastLoaded);
   std::unique_ptr<cluster::Scheduler> sched;
-  std::unique_ptr<cluster::WallClockEngine> engine;
+  cluster::WallClockEngine* engine = nullptr;  // wall telemetry, engine rows only
   if (threads > 0) {
     cluster::WallClockOptions wopt;
     wopt.threads = threads;
-    engine = std::make_unique<cluster::WallClockEngine>(c, *policy, wopt);
+    auto e = std::make_unique<cluster::WallClockEngine>(c, *policy, wopt);
+    engine = e.get();
+    sched = std::move(e);
   } else {
-    sched = std::make_unique<cluster::Scheduler>(c, *policy, cluster::DispatchOptions{});
+    sched = std::make_unique<cluster::Scheduler>(c, *policy);
   }
 
   uint16_t trigger = p.find_method(spec.trigger_method);
@@ -89,7 +91,7 @@ RunRec run_once(int threads, int rounds) {
     if (!mig::pause_at_depth(c.home(), tid, trigger, kSegmentsPerRound + 4)) break;
     VDur round_start = c.home_now();
     auto specs = cluster::split_top_frames(kSegmentsPerRound);
-    auto out = engine ? engine->run(tid, specs) : sched->run(tid, specs);
+    auto out = sched->run(tid, specs);
     c.home().ti().set_debug_enabled(false);
     rec.writeback_bytes += out.writeback_bytes;
     for (const auto& pl : out.placements) {
@@ -106,7 +108,7 @@ RunRec run_once(int threads, int rounds) {
   auto rr = c.home().run_guest(tid);
   rec.ok = rr.reason == svm::StopReason::Done &&
            c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
-  rec.exactly_once = engine ? engine->exactly_once() : sched->exactly_once();
+  rec.exactly_once = sched->exactly_once();
   if (engine) rec.lock = engine->total_contention();
   rec.virt_total_ms = c.home().node().clock.now().ms();
   if (rec.segments > 0) {

@@ -1,6 +1,7 @@
 // App scenarios — the Table I guest apps plus the Section IV workloads,
 // registered so `sodctl run fib --nodes 4 --policy least-loaded` exercises
 // a real load-aware cluster dispatch without a dedicated main().
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -30,9 +31,11 @@ using sod::mig::SodNode;
 /// single-frame segments that are placed by the selected policy and kept
 /// in flight on different workers concurrently (Fig. 1(c)); home then
 /// finishes the residual computation and the result is checked against the
-/// app's expected value.  With --wallclock / --threads N the rounds run on
-/// the genuinely concurrent WallClockEngine pool instead of the
-/// virtual-time scheduler; results are bit-identical either way.
+/// app's expected value.  One Scheduler serves every round; with
+/// --wallclock / --threads N it is the WallClockEngine, whose guest work
+/// and transfers take real time on a thread pool — results are
+/// bit-identical either way.  --checkpoint-every, --speculate and
+/// --fail-at apply in both modes.
 int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   int nodes = opt.nodes > 0 ? opt.nodes : 2;
   auto kind = sod::cluster::parse_policy(opt.policy.empty() ? "round-robin" : opt.policy);
@@ -50,12 +53,25 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
   auto policy = sod::cluster::make_policy(*kind);
   SodNode& home = c.home();
 
-  std::unique_ptr<sod::cluster::WallClockEngine> engine;
-  if (opt.wallclock) {
-    sod::cluster::WallClockOptions wopt;
-    wopt.threads = opt.threads;
-    engine = std::make_unique<sod::cluster::WallClockEngine>(c, *policy, wopt);
+  if (opt.fail_at >= 0 && c.size() < 2) {
+    std::fprintf(stderr, "%s: --fail-at needs at least 2 workers (--nodes 3 or more)\n",
+                 spec.name.c_str());
+    return 2;
   }
+  sod::cluster::WallClockOptions wopt;
+  wopt.threads = opt.threads;
+  wopt.checkpoint_every = static_cast<uint64_t>(std::max<int64_t>(opt.checkpoint_every, 0));
+  wopt.speculate = opt.speculate;
+  std::unique_ptr<sod::cluster::Scheduler> sched;
+  sod::cluster::WallClockEngine* engine = nullptr;  // wall timestamps, wall mode only
+  if (opt.wallclock) {
+    auto e = std::make_unique<sod::cluster::WallClockEngine>(c, *policy, wopt);
+    engine = e.get();
+    sched = std::move(e);
+  } else {
+    sched = std::make_unique<sod::cluster::Scheduler>(c, *policy, wopt);
+  }
+  if (opt.fail_at >= 0) sched->fail_after(opt.fail_at);
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int depth = std::min(spec.paper_depth, 4);
@@ -72,8 +88,7 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
     int k = std::min(remaining, depth - 1);
     if (remaining > k) k = std::max(1, depth - 2);
     auto specs = sod::cluster::split_top_frames(k);
-    auto out = engine ? engine->run(tid, specs)
-                      : sod::cluster::dispatch_segments(c, tid, specs, *policy);
+    auto out = sched->run(tid, specs);
     home.ti().set_debug_enabled(false);
     for (size_t s = 0; s < out.placements.size(); ++s) {
       const auto& pl = out.placements[s];
@@ -97,11 +112,19 @@ int run_table1_app(const AppSpec& spec, const ScenarioOptions& opt) {
     std::fprintf(stderr, "%s: guest did not run to completion\n", spec.name.c_str());
     return 1;
   }
+  if (sched->workers_lost() + sched->checkpoints() > 0)
+    std::printf("%d worker(s) lost, %d re-dispatch(es), %d checkpoint(s), %d speculated\n",
+                sched->workers_lost(), sched->redispatches(), sched->checkpoints(),
+                sched->speculations());
+  if (!sched->exactly_once()) {
+    std::fprintf(stderr, "%s: event log violates exactly-once execution\n", spec.name.c_str());
+    return 1;
+  }
   int64_t got = home.vm().thread(tid).result.as_i64();
-  std::string mode = engine ? " [wall-clock, " +
-                                  std::to_string(opt.threads > 0 ? opt.threads : c.size()) +
-                                  " thread(s)]"
-                            : "";
+  std::string mode = opt.wallclock ? " [wall-clock, " +
+                                         std::to_string(opt.threads > 0 ? opt.threads : c.size()) +
+                                         " thread(s)]"
+                                   : "";
   std::printf("%s(%s) = %lld over %d node(s), %d segment(s) in %d round(s) [%s]%s, %.3f ms "
               "virtual\n",
               spec.name.c_str(), std::to_string(spec.bench_args[0].as_i64()).c_str(),

@@ -229,24 +229,29 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
   if (opts.home_shards > 0) c.set_home_shards(opts.home_shards);
   res.home_shards = c.home_shards();
   auto policy = make_policy(opts.policy);
-  Scheduler sched(c, *policy, opts.dispatch);
-  std::unique_ptr<WallClockEngine> engine;
+  std::unique_ptr<Scheduler> owner;
+  WallClockEngine* engine = nullptr;  ///< wall-clock telemetry, wall mode only
   if (opts.wallclock) {
     WallClockOptions wopt;
+    static_cast<DispatchOptions&>(wopt) = opts.dispatch;
     wopt.threads = opts.threads;
     wopt.dilation = opts.dilation;
     wopt.home_dilation = opts.home_dilation;
-    wopt.statics_skip = opts.dispatch.statics_skip;
-    engine = std::make_unique<WallClockEngine>(c, *policy, wopt);
+    auto e = std::make_unique<WallClockEngine>(c, *policy, wopt);
+    engine = e.get();
+    owner = std::move(e);
+  } else {
+    owner = std::make_unique<Scheduler>(c, *policy, opts.dispatch);
   }
+  Scheduler& sched = *owner;
 
   // Admission gate: no session spawns and no class image ships unless the
   // whole-program analyzer admitted the shared tenant program.  The
-  // scheduler/engine above already logged the ProgramRejected event.
+  // scheduler above already logged the ProgramRejected event.
   if (!c.admission().admitted) {
     res.admitted = false;
     for (const auto& d : c.admission().diagnostics) res.rejection_diags.push_back(d.str());
-    res.exactly_once = engine ? engine->exactly_once() : sched.exactly_once();
+    res.exactly_once = sched.exactly_once();
     return res;
   }
 
@@ -284,17 +289,14 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       case Injection::Kind::Join: {
         WorkerSpec ws;
         ws.name = "surge" + std::to_string(inj.surge);
-        surge_ids[inj.surge] = engine ? engine->add_worker(ws) : c.add_worker(ws);
+        surge_ids[inj.surge] = sched.add_worker(ws);
         ++res.surge_joins;
         break;
       }
       case Injection::Kind::Drain: {
         auto it = surge_ids.find(inj.surge);
         if (it == surge_ids.end() || c.state(it->second) != WorkerState::Active) break;
-        if (engine)
-          engine->drain_worker(it->second);
-        else
-          c.drain_worker(it->second);
+        sched.drain_worker(it->second);
         ++res.surge_drains;
         break;
       }
@@ -303,10 +305,7 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
         // next completion lands the loss mid-round, while the round's
         // sibling segments are still queued on the victim.
         if (c.accepting_size() > 2) {
-          if (engine)
-            engine->fail_after(engine->completions() + 1, -1);
-          else
-            sched.fail_after(sched.completions() + 1, -1);
+          sched.fail_after(sched.completions() + 1, -1);
           ++res.failures_armed;
         }
         break;
@@ -367,9 +366,8 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
       const uint16_t trig = p.find_method(pfx + la.spec.trigger_method);
       if (k >= 1 && mig::pause_at_depth(home, ss.tid, trig, depth)) {
         auto specs = split_top_frames(k);
-        auto out = engine ? engine->run(ss.tid, specs) : sched.run(ss.tid, specs);
+        sched.run(ss.tid, specs);
         home.ti().set_debug_enabled(false);
-        (void)out;
         ss.segments += k;
         res.segments += k;
         res.tenants[static_cast<size_t>(ts.tenant)].segments += k;
@@ -418,19 +416,18 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
   for (auto& tn : res.tenants)
     if (tn.completed > 0) tn.mean_wait_ms /= static_cast<double>(tn.completed);
   res.all_ok = all_ok && res.completed == res.sessions;
-  res.exactly_once = engine ? engine->exactly_once() : sched.exactly_once();
-  res.redispatched = engine ? engine->redispatches() : sched.redispatches();
-  res.workers_lost = engine ? engine->workers_lost() : sched.workers_lost();
-  const StaticsRefreshStats& sst = engine ? engine->statics_stats() : sched.statics_stats();
+  res.exactly_once = sched.exactly_once();
+  res.redispatched = sched.redispatches();
+  res.workers_lost = sched.workers_lost();
+  res.resumed = sched.resumes();
+  res.speculated = sched.speculations();
+  res.cancelled = sched.cancellations();
+  res.checkpoints = sched.checkpoints();
+  const StaticsRefreshStats& sst = sched.statics_stats();
   res.statics_scans = sst.scans;
   res.statics_skipped = sst.skipped;
   res.statics_bytes = sst.bytes;
-  if (!engine) {
-    res.resumed = sched.resumes();
-    res.speculated = sched.speculations();
-    res.cancelled = sched.cancellations();
-    res.checkpoints = sched.checkpoints();
-  } else {
+  if (engine) {
     mig::ShardContention total = engine->total_contention();
     res.lock_acq = total.acquisitions;
     res.wall_contended = total.contended;

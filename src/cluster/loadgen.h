@@ -9,11 +9,12 @@
 // arrival indices.  The same seed always reproduces the same trace.
 //
 // The generator replays a trace against ONE shared Cluster + Scheduler
-// (or, optionally, the wall-clock engine): every tenant's classes are
-// emitted into a single program under a tenant prefix (AppSpec::emit), so
-// tenants share workers, the home node, placement state, and the event
-// log, while their statics and heap objects stay isolated by class
-// identity — the property the cross-tenant leakage tests pin down.
+// (optionally the wall-clock engine, which is a Scheduler too): every
+// tenant's classes are emitted into a single program under a tenant
+// prefix (AppSpec::emit), so tenants share workers, the home node,
+// placement state, and the event log, while their statics and heap
+// objects stay isolated by class identity — the property the
+// cross-tenant leakage tests pin down.
 // Sessions interleave at dispatch-round granularity through the existing
 // event loop: the step picker is fair (fewest steps first, ties to the
 // oldest session), admission waits are accounted per tenant, and sessions
@@ -125,8 +126,7 @@ Trace filter_tenant(const Trace& t, int tenant);
 
 struct LoadGenOptions {
   PolicyKind policy = PolicyKind::LeastLoaded;
-  /// Checkpoint / speculation knobs forwarded to the shared Scheduler
-  /// (ignored in wall-clock mode, which has no checkpoint surface yet).
+  /// Checkpoint / speculation knobs forwarded to the shared Scheduler.
   DispatchOptions dispatch{};
   /// Shared worker pool; empty = 4 uniform gigabit workers.
   std::vector<WorkerSpec> workers;
@@ -203,7 +203,8 @@ struct LoadGenResult {
   /// Home shard count the replay ran with.
   int home_shards = 1;
   /// Stripe-lock acquisitions summed over shards — deterministic for a
-  /// failure-free replay (one per gate section / service window).
+  /// given replay, worker losses included (one per guest gate section /
+  /// service window).
   uint64_t lock_acq = 0;
   /// Contended acquisitions / total + worst wait / deepest queue — real
   /// wall-side interleaving, never gated on by the bench differ.

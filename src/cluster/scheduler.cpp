@@ -175,6 +175,17 @@ void Scheduler::fail_after_checkpoints(int checkpoints, int worker) {
 
 void Scheduler::fail_worker(int worker) { do_fail(worker); }
 
+int Scheduler::add_worker(const WorkerSpec& spec) {
+  int id = c_->add_worker(spec);
+  emit(EventKind::WorkerJoined, c_->home_now(), -1, id);
+  return id;
+}
+
+void Scheduler::drain_worker(int id) {
+  c_->drain_worker(id);
+  emit(EventKind::WorkerDraining, c_->home_now(), -1, id);
+}
+
 void Scheduler::emit(EventKind kind, VDur at, int segment, int worker, int attempt) {
   Event e;
   e.kind = kind;
@@ -277,70 +288,57 @@ void Scheduler::dispatch(size_t i) {
   SOD_CHECK(c_->accepting(w), "policy chose a non-accepting worker");
   t.est_cost = policy_->estimate(*c_, w, t.req);
   c_->note_assigned(w, t.est_cost);
-  mig::SodNode& dst = c_->worker(w);
 
   if (t.seg) t.faults_accum += t.seg->objman().stats().faults;
   t.deltas = {};
   t.resumed = false;
   t.partial = false;  // a restart re-executes the full segment
-  Placement& pl = t.pl;
-  pl = Placement{};
+  t.pl = Placement{};
+  t.seg = ship_attempt(i, w, cs, t.req.state_bytes, t.pl);
+  t.dispatched = true;
+  emit(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, t.attempts);
+}
+
+std::unique_ptr<mig::Segment> Scheduler::ship_attempt(size_t i, int w,
+                                                      const mig::CapturedState& cs,
+                                                      size_t state_bytes, Placement& pl) {
+  Task& t = tasks_[i];
+  mig::SodNode& home = c_->home();
+  mig::SodNode& dst = c_->worker(w);
   pl.worker = w;
   pl.worker_name = dst.name();
   pl.spec = t.spec;
-  pl.cls = entry_cls;
+  pl.cls = t.req.cls;
   pl.attempts = ++t.attempts;
-  pl.shipped_bytes = t.req.state_bytes;
-  if (!dst.class_shipped(entry_cls)) pl.shipped_bytes += t.req.class_image_bytes;
+  pl.shipped_bytes = state_bytes;
+  if (!dst.class_shipped(t.req.cls)) pl.shipped_bytes += t.req.class_image_bytes;
 
-  dst.mark_class_shipped(entry_cls);
-  dst.enable_class_fetch(&home, c_->link(w));
-  // A re-dispatch re-serializes and re-ships from home's current send
-  // front: the original copy died with the lost worker.
-  home.node().charge_host(
-      home.serde().cost(t.req.state_bytes, static_cast<int>(cs.frames.size())));
+  dst.mark_class_shipped(t.req.cls);
+  dst.enable_class_fetch(&home, c_->link(w), gate());
+  // Home serializes and ships from its current send front: a re-dispatch's
+  // original copy died with the lost worker, and a checkpoint lives at home.
+  VDur serve = home.serde().cost(state_bytes, static_cast<int>(cs.frames.size()));
+  home.node().charge_host(serve);
   sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
+  shipped(i, w, serve, c_->link(w).transfer_time(pl.shipped_bytes));
 
-  t.seg = std::make_unique<mig::Segment>(dst);
-  t.seg->objman().set_shard_map(&c_->shard_map());
-  t.seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  t.seg->restore(cs);
+  auto seg = std::make_unique<mig::Segment>(dst);
+  seg->objman().set_home_gate(gate());
+  seg->objman().set_shard_map(&c_->shard_map());
+  seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
+  seg->restore(cs);
   pl.restored_at = dst.node().clock.now();
-  t.dispatched = true;
-  emit(EventKind::SegmentDispatched, pl.restored_at, static_cast<int>(i), w, t.attempts);
+  return seg;
 }
 
 Scheduler::CheckpointRestore Scheduler::restore_from_checkpoint(
     size_t i, int w, const CheckpointStore::Entry& ck) {
-  Task& t = tasks_[i];
-  mig::SodNode& home = c_->home();
-  mig::SodNode& dst = c_->worker(w);
-  PlacementRequest req = t.req;
+  PlacementRequest req = tasks_[i].req;
   req.state_bytes = ck.ckpt.state_bytes;
   CheckpointRestore r;
   r.est = policy_->estimate(*c_, w, req);
   c_->note_assigned(w, r.est);
-  r.pl.worker = w;
-  r.pl.worker_name = dst.name();
-  r.pl.spec = t.spec;
-  r.pl.cls = t.req.cls;
-  r.pl.attempts = ++t.attempts;
-  r.pl.shipped_bytes = ck.ckpt.state_bytes;
-  if (!dst.class_shipped(t.req.cls)) r.pl.shipped_bytes += t.req.class_image_bytes;
-
-  dst.mark_class_shipped(t.req.cls);
-  dst.enable_class_fetch(&home, c_->link(w));
-  // The checkpoint lives at home: home re-serializes and ships it to the
-  // new worker from its current send front.
-  home.node().charge_host(home.serde().cost(ck.ckpt.state_bytes,
-                                            static_cast<int>(ck.ckpt.state.frames.size())));
-  sim::deliver(home.node(), dst.node(), c_->link(w), r.pl.shipped_bytes);
-
-  r.seg = std::make_unique<mig::Segment>(dst);
-  r.seg->objman().set_shard_map(&c_->shard_map());
-  r.seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  r.seg->restore(ck.ckpt.state);
-  r.pl.restored_at = dst.node().clock.now();
+  r.seg = ship_attempt(i, w, ck.ckpt.state, ck.ckpt.state_bytes, r.pl);
   // A checkpoint resumes mid-execution: no upstream delivery is pending,
   // the attempt starts executing right after its restore.
   r.pl.executed_at = r.pl.restored_at;
@@ -400,6 +398,7 @@ bool Scheduler::take_checkpoint(size_t i) {
   auto ck = mig::checkpoint_segment(*t.seg, home, c_->link(t.pl.worker), t.deltas,
                                   /*apply_at_home=*/opt_.resume_from_checkpoint);
   VDur at = home.node().clock.now();
+  served(i, t.pl.worker, home.serde().cost(ck.state_bytes + ck.heap_bytes));
   ++out_->checkpoints;
   store_.record(round_, static_cast<int>(i), std::move(ck), t.attempts, at);
   emit(EventKind::CheckpointTaken, at, static_cast<int>(i), t.pl.worker, t.attempts);
@@ -445,14 +444,14 @@ void Scheduler::prepare(size_t i) {
     size_t stat_bytes = refresh_primitive_statics(
         home, dst, opt_.statics_skip ? &c_->facts() : nullptr, &statics_stats_);
     bc::Value v_in = up.result;
+    VDur relay{};
     if (up.pl.worker != pl.worker) {
       // The result is relayed worker -> home -> worker (links are
       // home-anchored), so it pays both the source uplink and the
       // destination downlink; home only stores-and-forwards.
-      VDur arrival = c_->worker(up.pl.worker).node().clock.now() +
-                     c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
-                     c_->link(pl.worker).transfer_time(kResultMsgBytes);
-      dst.node().clock.wait_until(arrival);
+      relay = c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
+              c_->link(pl.worker).transfer_time(kResultMsgBytes);
+      dst.node().clock.wait_until(c_->worker(up.pl.worker).node().clock.now() + relay);
       if (v_in.tag == bc::Ty::Ref && v_in.r != bc::kNull) {
         // Cross-worker ref chaining: the upstream worker's heap id would
         // alias or dangle here.  The upstream write-back already
@@ -478,9 +477,13 @@ void Scheduler::prepare(size_t i) {
     if (stat_bytes > 0) sim::deliver(home.node(), dst.node(), c_->link(pl.worker), stat_bytes);
     out_->overlapped = out_->overlapped || pl.restored_at < up.pl.completed_at;
     // A completed upper segment on this worker may have dropped debug
-    // mode; deliver() needs its pending-call breakpoint to fire.
-    dst.ti().set_debug_enabled(true);
-    seg.deliver(v_in);
+    // mode; deliver() needs its pending-call breakpoint to fire.  Running
+    // up to that breakpoint is guest code, so it runs where guest code runs.
+    auto deliver = [&] {
+      dst.ti().set_debug_enabled(true);
+      seg.deliver(v_in);
+    };
+    run_guest(pl.worker, relay, deliver);
   }
   // Debug mode is per-node, not per-segment: a lower segment restored on
   // this worker after `seg` left the node's debug interpreter on, and
@@ -504,9 +507,15 @@ void Scheduler::run_attempts(size_t i) {
   // always use the *newest* checkpoint, whose heap flush is exactly
   // home's current object state, so a restarted computation can never
   // observe home running ahead of it.
+  auto chunk = [&](mig::Segment& seg, int w) {
+    svm::StopReason sr{};
+    auto run = [&] { sr = seg.run_chunk(opt_.checkpoint_every); };
+    run_guest(w, VDur{}, run);
+    return sr;
+  };
   bool primary_done = false;
   while (!race.backup_live) {
-    svm::StopReason sr = t.seg->run_chunk(opt_.checkpoint_every);
+    svm::StopReason sr = chunk(*t.seg, t.pl.worker);
     if (sr == svm::StopReason::Done) {
       primary_done = true;
       break;
@@ -587,13 +596,13 @@ void Scheduler::run_attempts(size_t i) {
     }
     bool advance_backup = !backup_done && (primary_done || b_now < p_now);
     if (advance_backup) {
-      if (race.backup_seg->run_chunk(opt_.checkpoint_every) == svm::StopReason::Done) {
+      if (chunk(*race.backup_seg, race.backup_pl.worker) == svm::StopReason::Done) {
         backup_done = true;
         backup_result = race.backup_seg->result();
         backup_completed = clock_of(race.backup_pl.worker);
       }
     } else {
-      if (t.seg->run_chunk(opt_.checkpoint_every) == svm::StopReason::Done) {
+      if (chunk(*t.seg, t.pl.worker) == svm::StopReason::Done) {
         primary_done = true;
         primary_result = t.seg->result();
         primary_completed = clock_of(t.pl.worker);
@@ -613,8 +622,11 @@ void Scheduler::execute(size_t i) {
   mig::SodNode& dst = c_->worker(pl.worker);
   pl.executed_at = dst.node().clock.now();
   if (opt_.checkpoint_every == 0) {
-    t.result = t.seg->run_to_completion();
-    pl.completed_at = dst.node().clock.now();
+    auto run = [&] {
+      t.result = t.seg->run_to_completion();
+      pl.completed_at = dst.node().clock.now();
+    };
+    run_guest(pl.worker, VDur{}, run);
   } else {
     run_attempts(i);
   }
@@ -647,6 +659,7 @@ void Scheduler::write_back(size_t i) {
   auto rep = mig::write_back(*t.seg, c_->home(), home_tid_, bottom ? t.spec.depth_hi : 0,
                              t.result, c_->link(t.pl.worker));
   out_->writeback_bytes += rep.bytes;
+  completed(i, t.pl.worker, c_->home().serde().cost(rep.bytes));
   // The ref-forwarding table only tracks classes the analyzer says can
   // actually chain a ref (return or statically store one); everyone else's
   // home-translated result is dropped here and prepare() checks none ever
@@ -655,7 +668,7 @@ void Scheduler::write_back(size_t i) {
   store_.drop(round_, static_cast<int>(i));
 }
 
-bool exactly_once_log(const std::vector<Event>& log) {
+bool Scheduler::exactly_once() const {
   // Attempt-aware invariant: speculative duplicate dispatches are legal,
   // but exactly one attempt per (round, segment) completes and writes
   // back; the completing attempt must have been dispatched and must not
@@ -663,7 +676,7 @@ bool exactly_once_log(const std::vector<Event>& log) {
   std::map<std::pair<int, int>, std::pair<int, int>> counts;  // key -> (dispatched, completed)
   std::map<std::pair<int, int>, int> completing_attempt;
   std::set<std::tuple<int, int, int>> launched, killed;
-  for (const Event& e : log) {
+  for (const Event& e : log_) {
     auto rs = std::pair(e.round, e.segment);
     switch (e.kind) {
       case EventKind::SegmentDispatched:
@@ -690,8 +703,6 @@ bool exactly_once_log(const std::vector<Event>& log) {
   }
   return true;
 }
-
-bool Scheduler::exactly_once() const { return exactly_once_log(log_); }
 
 DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>& specs) {
   mig::SodNode& home = c_->home();
@@ -726,6 +737,7 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
 
   DispatchOutcome out;
   out_ = &out;
+  begin_round(tasks_.size());
   // Failure plans already due (scheduled in a previous round) fire before
   // placement so a lost worker never receives this round's segments.
   process_failure_plans();
@@ -749,6 +761,7 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
     process_failure_plans();
     autoscale_tick(/*placement_phase=*/false);
   }
+  end_round();
 
   out.placements.reserve(tasks_.size());
   for (Task& t : tasks_) {
@@ -758,13 +771,6 @@ DispatchOutcome Scheduler::run(int home_tid, const std::vector<mig::SegmentSpec>
   out.result = tasks_.back().result;
   out_ = nullptr;
   return out;
-}
-
-DispatchOutcome dispatch_segments(Cluster& c, int home_tid,
-                                  const std::vector<mig::SegmentSpec>& specs,
-                                  PlacementPolicy& policy, const DispatchOptions& opt) {
-  Scheduler s(c, policy, opt);
-  return s.run(home_tid, specs);
 }
 
 }  // namespace sod::cluster

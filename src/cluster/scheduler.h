@@ -37,13 +37,22 @@
 //    first completion wins, the loser is cancelled at its next
 //    chunk boundary and its write-back is suppressed.
 //
-// dispatch_segments() remains as a thin wrapper: it builds a one-round
-// Scheduler and runs the event stream.
+// The Scheduler is the only event loop in both execution modes.  Every
+// placement, ship, restore, relay, write-back, failure, checkpoint,
+// speculation and autoscale step — and every virtual-clock charge and log
+// append — happens here, on the thread that called run().  The points
+// where real (wall) time would pass are a small protected executor seam:
+// this class runs guest code inline and lets no wall time pass, while the
+// WallClockEngine (wallclock.h) overrides the seam to run guest code on a
+// thread-pool lane and to sleep transfers and home service windows there.
+// Because the loop is the same, wall runs reproduce virtual runs bit for
+// bit by construction, worker losses included.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/checkpoint.h"
@@ -93,13 +102,6 @@ struct Event {
   int worker = -1;   ///< worker id (segment + membership events)
   int attempt = 0;   ///< attempt id (segment + checkpoint events)
 };
-
-/// The attempt-aware exactly-once invariant over a scheduler-shaped event
-/// log (shared by the virtual-time Scheduler and the wall-clock engine):
-/// every (round, segment) ever dispatched has exactly one SegmentCompleted,
-/// the completing attempt was itself dispatched, and no attempt that was
-/// cancelled or failed ever completes.
-bool exactly_once_log(const std::vector<Event>& log);
 
 struct DispatchOptions {
   /// Ship every segment as soon as it is serialized (the Fig. 1(c)
@@ -235,13 +237,30 @@ class Autoscaler {
   int drains_ = 0;
 };
 
+/// Non-owning reference to a `void()` callable: how the loop hands a
+/// piece of guest work to the executor seam without allocating.
+class GuestJob {
+ public:
+  template <class F>
+    requires(!std::is_same_v<F, GuestJob>)
+  GuestJob(F& f)  // NOLINT(google-explicit-constructor): passed inline
+      : obj_(&f), call_([](void* o) { (*static_cast<F*>(o))(); }) {}
+  void operator()() const { call_(obj_); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*);
+};
+
 /// The event loop.  One Scheduler persists across dispatch rounds so the
 /// failure plan, the autoscaler, the ref-forwarding table, and the event
 /// log span a whole scenario run.
 class Scheduler {
  public:
   Scheduler(Cluster& c, PlacementPolicy& policy, DispatchOptions opt = {});
-  ~Scheduler();  // Task is private and defined in the .cpp
+  virtual ~Scheduler();  // Task is private and defined in the .cpp
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   Cluster& cluster() { return *c_; }
 
@@ -264,6 +283,10 @@ class Scheduler {
   /// Fails a worker immediately: drops its queue and, mid-run,
   /// re-dispatches its outstanding segments to surviving workers.
   void fail_worker(int worker);
+  /// Membership changes made by a scenario (not the autoscaler): join a
+  /// worker / start draining one, logged as WorkerJoined / WorkerDraining.
+  int add_worker(const WorkerSpec& spec);
+  void drain_worker(int id);
 
   /// Captures the contiguous top-of-stack segments `specs` (specs[0] must
   /// start at depth 0, each next one at the previous depth_hi) from the
@@ -309,6 +332,27 @@ class Scheduler {
   /// The sharded forwarding table itself (partition layout introspection).
   const RefForwardTable& forward_table() const { return forwards_; }
 
+ protected:
+  // Executor seam: the points where wall time passes.  The defaults run
+  // guest work inline and let no wall time pass; every call comes from
+  // the loop thread, which owns all clocks, heaps and the log.
+
+  /// Gate for home accesses made by guest code (object faults, class
+  /// fetches); null = ungated.
+  virtual mig::HomeGate* gate() { return nullptr; }
+  virtual void begin_round(size_t /*segments*/) {}
+  virtual void end_round() {}
+  /// An attempt of segment `i` left home for worker `w`: home serialized
+  /// it for `serve` and the link carries it for `transfer`.
+  virtual void shipped(size_t /*i*/, int /*w*/, VDur /*serve*/, VDur /*transfer*/) {}
+  /// Runs guest work on worker `w` once `relay` of inbound transfer has
+  /// passed; returns when `job` has finished.
+  virtual void run_guest(int /*w*/, VDur /*relay*/, GuestJob job) { job(); }
+  /// Home spends `apply` absorbing a checkpoint flush of segment `i`.
+  virtual void served(size_t /*i*/, int /*w*/, VDur /*apply*/) {}
+  /// Segment `i`'s write-back landed; home spends `apply` absorbing it.
+  virtual void completed(size_t i, int w, VDur apply) { served(i, w, apply); }
+
  private:
   struct Task;
   struct Race;
@@ -330,6 +374,11 @@ class Scheduler {
 
   void emit(EventKind kind, VDur at, int segment, int worker, int attempt = 0);
   void dispatch(size_t i);
+  /// Ships `cs` (`state_bytes` on the wire, plus the class image if `w`
+  /// lacks it) to worker `w` as a new attempt of segment `i`, restores it
+  /// there and fills `pl`'s attempt fields.
+  std::unique_ptr<mig::Segment> ship_attempt(size_t i, int w, const mig::CapturedState& cs,
+                                             size_t state_bytes, Placement& pl);
   void prepare(size_t i);
   void execute(size_t i);
   void run_attempts(size_t i);
@@ -371,13 +420,5 @@ class Scheduler {
   DispatchOutcome* out_ = nullptr;
   Race* race_ = nullptr;  ///< in-flight attempt race of the executing task
 };
-
-/// Thin wrapper for one-shot dispatch: builds a single-round Scheduler
-/// (no failure plan, no autoscaler) and runs the event stream.  Completed
-/// placements are fed back to the policy (PlacementPolicy::observe) so
-/// learning policies can refine their execution-time estimates.
-DispatchOutcome dispatch_segments(Cluster& c, int home_tid,
-                                  const std::vector<mig::SegmentSpec>& specs,
-                                  PlacementPolicy& policy, const DispatchOptions& opt = {});
 
 }  // namespace sod::cluster

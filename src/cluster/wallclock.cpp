@@ -1,10 +1,9 @@
 #include "cluster/wallclock.h"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 #include <utility>
-
-#include "cluster/placement.h"
 
 namespace sod::cluster {
 
@@ -15,110 +14,22 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Which engine's ordered lock this thread is inside (null when none).
-/// The gate protocol's nested-section detection: a gate acquire from a
-/// thread that already holds the ordered lock (write-back resolving stubs,
-/// the home thread's virtual restore firing class fetches) must take
-/// nothing, and the runtime checks below enforce the no-re-entry and
-/// one-stripe rules the static analysis cannot see.
-thread_local const void* tl_ordered_owner = nullptr;
-/// Stripes this thread holds (0 or 1 by protocol rule; checked).
-thread_local int tl_stripe_depth = 0;
-
-/// Scoped ordered-lock: a ScopedLock twin that additionally maintains
-/// tl_ordered_owner — including across the unlock/lock pair inside
-/// std::condition_variable_any::wait — and panics on re-entry, which the
-/// old recursive home mutex would have silently allowed.
-class SOD_SCOPED_CAPABILITY OrderedLock {
- public:
-  OrderedLock(const void* engine, Mutex& mu) SOD_ACQUIRE(mu) : e_(engine), mu_(mu) {
-    SOD_CHECK(tl_ordered_owner != e_, "home ordered lock re-entered on one thread");
-    mu_.lock();
-    tl_ordered_owner = e_;
-  }
-  ~OrderedLock() SOD_RELEASE() {
-    if (held_) {
-      tl_ordered_owner = nullptr;
-      mu_.unlock();
-    }
-  }
-  void lock() SOD_ACQUIRE() {
-    mu_.lock();
-    tl_ordered_owner = e_;
-    held_ = true;
-  }
-  void unlock() SOD_RELEASE() {
-    tl_ordered_owner = nullptr;
-    mu_.unlock();
-    held_ = false;
-  }
-  OrderedLock(const OrderedLock&) = delete;
-  OrderedLock& operator=(const OrderedLock&) = delete;
-
- private:
-  const void* e_;
-  Mutex& mu_;
-  bool held_ = true;
-};
+/// Sleeps `scale` x the virtual duration `virt`.
+void sleep_scaled(double scale, VDur virt) {
+  double ns = scale * static_cast<double>(virt.ns);
+  if (ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(static_cast<int64_t>(ns)));
+}
 
 }  // namespace
 
-/// Per-segment lifecycle state for the current round.  Guarded by the
-/// ordered lock except where noted: `spec` and `cs` are immutable once
-/// run() captured them, and an exec job owns `seg` exclusively (moved out
-/// under the lock) while it runs guest code unlocked.
-struct WallClockEngine::Task {
-  enum class St { Unplaced, Shipped, Restored, Completed };
-
-  mig::SegmentSpec spec{};
-  mig::CapturedState cs;
-  std::unique_ptr<mig::Segment> seg;
-  PlacementRequest req{};
-  Placement pl{};
-  VDur est_cost{};
-  St st = St::Unplaced;
-  bool exec_enqueued = false;
-  int attempts = 0;       ///< current attempt id; jobs carrying an older id are stale
-  bc::Value result{};
-  bc::Value home_result{};
-  int faults_accum = 0;   ///< faults of attempts that were replaced or lost
-  int64_t ship_sleep_ns = 0;
-  /// Home-side serde cost of this attempt's outgoing ship, already charged
-  /// virtually at placement; the lane serves its wall twin on the
-  /// segment's stripe before sleeping the transfer.
-  VDur serve_cost{};
-  double completed_wall_ms = 0;
-  /// Worker clock right after the completion write-back; the downstream
-  /// relay reads this snapshot instead of the live clock (the Scheduler
-  /// reads the clock at the same point, so the values agree fault-free).
-  VDur post_wb_clock{};
-};
-
 WallClockEngine::WallClockEngine(Cluster& c, PlacementPolicy& policy, WallClockOptions opt)
-    : c_(&c), policy_(&policy), opt_(opt), shard_map_(c.shard_map()) {
+    : Scheduler(c, policy, opt), opt_(opt), shard_map_(c.shard_map()) {
+  if (opt_.home_dilation < 0) opt_.home_dilation = opt_.dilation;
   stripes_.reserve(static_cast<size_t>(shard_map_.shards()));
   for (int s = 0; s < shard_map_.shards(); ++s) stripes_.push_back(std::make_unique<Stripe>());
-  // Same admission announcement as the virtual-time Scheduler: a program
-  // that failed the cluster's static analysis is rejected up front and
-  // run() refuses to ship any of its class images.
-  if (!c.admission().admitted) {
-    OrderedLock lk(this, order_mu_);
-    emit_locked(EventKind::ProgramRejected, c.home_now(), -1, -1);
-  }
 }
 
 WallClockEngine::~WallClockEngine() = default;
-
-int64_t WallClockEngine::sleep_ns_for(VDur virt) const {
-  double ns = opt_.dilation * static_cast<double>(virt.ns);
-  return ns > 0 ? static_cast<int64_t>(ns) : 0;
-}
-
-int64_t WallClockEngine::home_sleep_ns_for(VDur virt) const {
-  double scale = opt_.home_dilation < 0 ? opt_.dilation : opt_.home_dilation;
-  double ns = scale * static_cast<double>(virt.ns);
-  return ns > 0 ? static_cast<int64_t>(ns) : 0;
-}
 
 void WallClockEngine::lock_stripe(int shard) {
   Stripe& s = *stripes_[static_cast<size_t>(shard)];
@@ -147,58 +58,27 @@ void WallClockEngine::unlock_stripe(int shard) {
   stripes_[static_cast<size_t>(shard)]->mu.unlock();
 }
 
-void WallClockEngine::stripe_service(uint32_t key, VDur home_time) {
-  SOD_CHECK(tl_ordered_owner != this, "stripe service while holding the ordered lock");
-  SOD_CHECK(tl_stripe_depth == 0, "stripe service while holding a stripe");
-  int shard = shard_map_.shard_of(key);
-  lock_stripe(shard);
-  int64_t ns = home_sleep_ns_for(home_time);
-  if (ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-  unlock_stripe(shard);
-}
-
-mig::HomeGate::Section WallClockEngine::acquire(uint32_t key)
-    SOD_NO_THREAD_SAFETY_ANALYSIS {
+mig::HomeGate::Section WallClockEngine::acquire(uint32_t key) {
   mig::HomeGate::Section s;
-  if (tl_ordered_owner == this) {
-    // Already inside this engine's ordered section (home-thread restore,
-    // write-back stub resolution): hold nothing, every op is a no-op.
-    s.nested = true;
-    return s;
-  }
-  SOD_CHECK(tl_stripe_depth == 0, "gate section opened while already holding a stripe");
+  // The loop thread's own home accesses (a restore's class fetch, a
+  // write-back resolving stubs) are not service windows: take nothing.
+  if (!guest_live_) return s;
+  SOD_CHECK(guest_stripe_ < 0, "gate section opened while already holding a stripe");
   s.shard = shard_map_.shard_of(key);
   lock_stripe(s.shard);
-  ++tl_stripe_depth;
-  order_mu_.lock();
-  tl_ordered_owner = this;
-  s.ordered_live = true;
+  guest_stripe_ = s.shard;
   return s;
 }
 
-void WallClockEngine::service(mig::HomeGate::Section& s, VDur home_time)
-    SOD_NO_THREAD_SAFETY_ANALYSIS {
-  if (s.nested) return;
-  SOD_CHECK(s.ordered_live, "gate service after release or double service");
-  tl_ordered_owner = nullptr;
-  order_mu_.unlock();
-  s.ordered_live = false;
-  int64_t ns = home_sleep_ns_for(home_time);
-  if (ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+void WallClockEngine::service(mig::HomeGate::Section& s, VDur home_time) {
+  if (s.shard >= 0) sleep_scaled(opt_.home_dilation, home_time);
 }
 
-void WallClockEngine::release(mig::HomeGate::Section& s) SOD_NO_THREAD_SAFETY_ANALYSIS {
-  if (s.nested) return;
-  if (s.ordered_live) {
-    tl_ordered_owner = nullptr;
-    order_mu_.unlock();
-    s.ordered_live = false;
-  }
-  if (s.shard >= 0) {
-    unlock_stripe(s.shard);
-    --tl_stripe_depth;
-    s.shard = -1;
-  }
+void WallClockEngine::release(mig::HomeGate::Section& s) {
+  if (s.shard < 0) return;
+  unlock_stripe(s.shard);
+  guest_stripe_ = -1;
+  s.shard = -1;
 }
 
 std::vector<mig::ShardContention> WallClockEngine::shard_contention() const {
@@ -217,490 +97,68 @@ mig::ShardContention WallClockEngine::total_contention() const {
   return total;
 }
 
-void WallClockEngine::fail_after(int completions, int worker) {
-  SOD_CHECK(completions >= 0, "fail_after with a negative completion count");
-  OrderedLock lk(this, order_mu_);
-  plans_.push_back(FailurePlan{completions, worker, false});
-}
-
-void WallClockEngine::fail_worker(int worker) {
-  OrderedLock lk(this, order_mu_);
-  do_fail_locked(worker);
-}
-
-int WallClockEngine::add_worker(const WorkerSpec& spec) {
-  OrderedLock lk(this, order_mu_);
-  SOD_CHECK(out_ == nullptr, "add_worker during a wall-clock round");
-  int id = c_->add_worker(spec);
-  if (pool_) pool_->ensure_lane(static_cast<size_t>(id) + 1);
-  emit_locked(EventKind::WorkerJoined, c_->home_now(), -1, id);
-  return id;
-}
-
-void WallClockEngine::drain_worker(int id) {
-  OrderedLock lk(this, order_mu_);
-  SOD_CHECK(out_ == nullptr, "drain_worker during a wall-clock round");
-  c_->drain_worker(id);
-  emit_locked(EventKind::WorkerDraining, c_->home_now(), -1, id);
-}
-
-void WallClockEngine::emit_locked(EventKind kind, VDur at, int segment, int worker,
-                                  int attempt) {
-  // Unlike the virtual-time Scheduler, events are NOT fed to
-  // PlacementPolicy::observe(cluster, event): an event observer is free to
-  // read worker clocks, which are live on other lanes here.
-  Event e;
-  e.kind = kind;
-  e.at = at;
-  e.seq = seq_++;
-  e.round = round_;
-  e.segment = segment;
-  e.worker = worker;
-  e.attempt = attempt;
-  log_.push_back(e);
-}
-
-int WallClockEngine::pick_failure_target_locked() const {
-  int best = -1;
-  for (int w = 0; w < c_->size(); ++w) {
-    if (!c_->accepting(w)) continue;
-    if (best < 0 || c_->inflight(w) > c_->inflight(best)) best = w;
-  }
-  SOD_CHECK(best >= 0, "failure injection on a cluster with no accepting workers");
-  return best;
-}
-
-void WallClockEngine::place_locked(size_t i) {
-  Task& t = tasks_[i];
-  mig::SodNode& home = c_->home();
-  const mig::CapturedState& cs = t.cs;
-  uint16_t entry_cls = home.program().method(cs.frames[0].method).owner;
-  t.req.cls = entry_cls;
-  t.req.state_bytes = cs.wire_size();
-  t.req.class_image_bytes = home.program().class_image(entry_cls).size();
-  t.req.msp_state_slots = c_->facts().class_msp_state_slots(entry_cls);
-  // The policy may read worker clocks: placements only happen while every
-  // lane is quiescent (round start, or sequential mode's chain points).
-  int w = policy_->choose(*c_, t.req);
-  SOD_CHECK(w >= 0 && w < c_->size(), "policy chose an invalid worker");
-  SOD_CHECK(c_->accepting(w), "policy chose a non-accepting worker");
-  t.est_cost = policy_->estimate(*c_, w, t.req);
-  c_->note_assigned(w, t.est_cost);
-  mig::SodNode& dst = c_->worker(w);
-
-  Placement& pl = t.pl;
-  pl = Placement{};
-  pl.worker = w;
-  pl.worker_name = dst.name();
-  pl.spec = t.spec;
-  pl.cls = entry_cls;
-  pl.attempts = ++t.attempts;
-  pl.shipped_bytes = t.req.state_bytes;
-  if (!dst.class_shipped(entry_cls)) pl.shipped_bytes += t.req.class_image_bytes;
-  dst.mark_class_shipped(entry_cls);
-
-  t.serve_cost = home.serde().cost(t.req.state_bytes, static_cast<int>(cs.frames.size()));
-  home.node().charge_host(t.serve_cost);
-  sim::deliver(home.node(), dst.node(), c_->link(w), pl.shipped_bytes);
-  t.ship_sleep_ns = sleep_ns_for(c_->link(w).transfer_time(pl.shipped_bytes));
-
-  // Virtual restore right here on the home thread, exactly where
-  // Scheduler::dispatch does it: restore's class fetches and round trips
-  // advance the home clock BEFORE the next segment's serde charge and
-  // ship, so fault-free virtual timestamps match the twin bit for bit.
-  // The lane only replays the transfer as a wall sleep (ship_job).  Class
-  // fetches fired by this restore see tl_ordered_owner == this and gate as
-  // nested no-ops.
-  auto seg = std::make_unique<mig::Segment>(dst);
-  seg->objman().set_home_gate(this);
-  seg->objman().set_shard_map(&shard_map_);
-  seg->objman().bind_home(&home, home_tid_, t.spec.depth_hi, c_->link(w));
-  seg->restore(t.cs);
-  t.seg = std::move(seg);
-  pl.restored_at = dst.node().clock.now();
-  t.st = Task::St::Shipped;
-  t.exec_enqueued = false;
-  emit_locked(EventKind::SegmentDispatched, pl.restored_at, static_cast<int>(i), w,
-              t.attempts);
-}
-
-void WallClockEngine::redispatch_locked(size_t i) {
-  Task& t = tasks_[i];
-  // The old attempt's segment, if its lane has not taken ownership yet, is
-  // dead: fold its fault count in and drop it.  An exec job that already
-  // owns it will discard it at its own stale check.
-  if (t.seg) {
-    t.faults_accum += t.seg->objman().stats().faults;
-    t.seg.reset();
-  }
-  // Survivor choice without any clock read (surviving lanes are live):
-  // shallowest queue, ties to the lowest id.  This is the one documented
-  // placement divergence from the virtual twin.
-  int w = -1;
-  for (int cand = 0; cand < c_->size(); ++cand)
-    if (c_->accepting(cand) && (w < 0 || c_->inflight(cand) < c_->inflight(w))) w = cand;
-  SOD_CHECK(w >= 0, "re-dispatch with no accepting workers");
-  t.est_cost = policy_->estimate(*c_, w, t.req);  // cpu-scale only, clock-free
-  c_->note_assigned(w, t.est_cost);
-  mig::SodNode& home = c_->home();
-  mig::SodNode& dst = c_->worker(w);
-
-  Placement& pl = t.pl;
-  pl = Placement{};
-  pl.worker = w;
-  pl.worker_name = dst.name();
-  pl.spec = t.spec;
-  pl.cls = t.req.cls;
-  pl.attempts = ++t.attempts;
-  pl.shipped_bytes = t.req.state_bytes;
-  if (!dst.class_shipped(t.req.cls)) pl.shipped_bytes += t.req.class_image_bytes;
-  dst.mark_class_shipped(t.req.cls);
-
-  // Home re-serializes and re-ships from its current send front.  The
-  // destination clock is NOT advanced here (its lane may be mid-guest-run);
-  // the re-shipped attempt's virtual arrival is folded in by the restore
-  // charges on the destination's own lane.
-  t.serve_cost = home.serde().cost(t.req.state_bytes, static_cast<int>(t.cs.frames.size()));
-  home.node().charge_host(t.serve_cost);
-  t.ship_sleep_ns = sleep_ns_for(c_->link(w).transfer_time(pl.shipped_bytes));
-  t.st = Task::St::Shipped;
-  t.exec_enqueued = false;
-  submit_restore(i);
-}
-
-void WallClockEngine::submit_ship(size_t i) {
-  int attempt = tasks_[i].attempts;
-  pool_->submit(static_cast<size_t>(tasks_[i].pl.worker),
-                [this, i, attempt] { ship_job(i, attempt); });
-}
-
-void WallClockEngine::ship_job(size_t i, int attempt) {
-  // The virtual ship and restore were already charged at placement; this
-  // job serves the home-side serialization window on the segment's stripe,
-  // then occupies the destination lane for the modelled transfer so the
-  // overlap (or its absence, on a small pool) is real wall time.
-  int64_t ship_ns = 0;
-  VDur serve{};
-  int round = 0;
-  {
-    OrderedLock lk(this, order_mu_);
-    Task& t = tasks_[i];
-    if (t.attempts != attempt) return;  // stale: the segment was re-dispatched
-    ship_ns = t.ship_sleep_ns;
-    serve = t.serve_cost;
-    round = round_;
-  }
-  // Ships of segments mapped to other home shards overlap this window;
-  // ships on the same shard convoy — with one shard, all of them do.
-  stripe_service(mig::HomeShardMap::key_segment(round, static_cast<int>(i)), serve);
-  if (ship_ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ship_ns));
-
-  OrderedLock lk(this, order_mu_);
-  Task& t = tasks_[i];
-  if (t.attempts != attempt) return;
-  t.st = Task::St::Restored;
-  cv_.notify_all();
-}
-
-void WallClockEngine::submit_restore(size_t i) {
-  int attempt = tasks_[i].attempts;
-  pool_->submit(static_cast<size_t>(tasks_[i].pl.worker),
-                [this, i, attempt] { restore_job(i, attempt); });
-}
-
-// Fault path only: a re-dispatched attempt restores on the survivor's own
-// lane (its clock may be live, so the home thread cannot do it), which is
-// why virtual timestamps downstream of a worker loss are not contracted.
-void WallClockEngine::restore_job(size_t i, int attempt) {
-  int64_t ship_ns = 0;
-  VDur serve{};
-  int round = 0;
-  int w = -1;
-  {
-    OrderedLock lk(this, order_mu_);
-    Task& t = tasks_[i];
-    if (t.attempts != attempt) return;  // stale: the segment was re-dispatched
-    ship_ns = t.ship_sleep_ns;
-    serve = t.serve_cost;
-    round = round_;
-    w = t.pl.worker;
-  }
-  stripe_service(mig::HomeShardMap::key_segment(round, static_cast<int>(i)), serve);
-  if (ship_ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ship_ns));
-
-  // Worker-local restore: this lane owns the destination node.  Home is
-  // only reached through gated paths (class fetch hook, object manager).
-  mig::SodNode& home = c_->home();
-  mig::SodNode& dst = c_->worker(w);
-  auto seg = std::make_unique<mig::Segment>(dst);
-  seg->objman().set_home_gate(this);
-  seg->objman().set_shard_map(&shard_map_);
-  seg->objman().bind_home(&home, home_tid_, tasks_[i].spec.depth_hi, c_->link(w));
-  seg->restore(tasks_[i].cs);
-
-  OrderedLock lk(this, order_mu_);
-  Task& t = tasks_[i];
-  if (t.attempts != attempt) {
-    t.faults_accum += seg->objman().stats().faults;  // doomed attempt's work still counts
-    return;
-  }
-  t.seg = std::move(seg);
-  t.pl.restored_at = dst.node().clock.now();
-  t.st = Task::St::Restored;
-  emit_locked(EventKind::SegmentDispatched, t.pl.restored_at, static_cast<int>(i), w, attempt);
-  cv_.notify_all();
-}
-
-void WallClockEngine::exec_job(size_t i, int attempt) {
-  std::unique_ptr<mig::Segment> seg;
-  bc::Value v_in{};
-  int64_t relay_ns = 0;
-  int w = -1;
-  {
-    OrderedLock lk(this, order_mu_);
-    Task& t = tasks_[i];
-    if (t.attempts != attempt || t.st != Task::St::Restored || !t.seg) return;
-    w = t.pl.worker;
-    mig::SodNode& home = c_->home();
-    mig::SodNode& dst = c_->worker(w);
-    seg = std::move(t.seg);  // exclusive ownership while running unlocked
-    // Re-bind the worker's objman.* natives to this segment: a later
-    // segment restored on the same worker overwrote them.
-    seg->objman().install(dst);
-    if (i > 0) {
-      Task& up = tasks_[i - 1];
-      size_t stat_bytes = refresh_primitive_statics(
-          home, dst, opt_.statics_skip ? &c_->facts() : nullptr, &statics_stats_);
-      v_in = up.result;
-      if (up.pl.worker != w) {
-        // Worker -> home -> worker relay of the 16-byte result message.
-        // The Scheduler reads the upstream worker's clock here; we read
-        // the snapshot taken right after its write-back (same value
-        // fault-free, and no live-clock race when its lane is busy again).
-        VDur arrival = up.post_wb_clock +
-                       c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
-                       c_->link(w).transfer_time(kResultMsgBytes);
-        dst.node().clock.wait_until(arrival);
-        relay_ns = sleep_ns_for(c_->link(up.pl.worker).transfer_time(kResultMsgBytes) +
-                                c_->link(w).transfer_time(kResultMsgBytes));
-        if (v_in.tag == bc::Ty::Ref && v_in.r != bc::kNull) {
-          // Cross-worker ref chaining: forward the home handle, fetch the
-          // body lazily on first touch (see Scheduler::prepare).  The
-          // escape facts are load-bearing: the forwarding entry was only
-          // retained for classes the analyzer proved can leak a ref.
-          SOD_CHECK(c_->facts().class_ref_escape(up.pl.cls),
-                    "ref result from a class the analyzer proved escape-free");
-          SOD_CHECK(up.home_result.tag == bc::Ty::Ref && up.home_result.r != bc::kNull,
-                    "cross-worker ref result missing from the forwarding table");
-          v_in = bc::Value::of_ref(dst.vm().heap().alloc_stub(up.home_result.r));
-          ++out_->ref_forwards;
-        }
-      }
-      if (stat_bytes > 0) sim::deliver(home.node(), dst.node(), c_->link(w), stat_bytes);
-      out_->overlapped = out_->overlapped || t.pl.restored_at < up.pl.completed_at;
-    }
-  }
-  if (relay_ns > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(relay_ns));
-
-  // Guest execution, unlocked: faults and class loads self-gate through
-  // the home gate (stripe -> ordered).  This lane owns the destination
-  // node, so its clock reads need no lock.
-  mig::SodNode& dst = c_->worker(w);
-  if (i > 0) {
-    // deliver() needs the pending-call breakpoint of the restored frame.
-    dst.ti().set_debug_enabled(true);
-    seg->deliver(v_in);
-  }
-  dst.ti().set_debug_enabled(false);
-  VDur executed_at = dst.node().clock.now();
-  bc::Value result = seg->run_to_completion();
-  // Completion is the instant execution finished, before the write-back's
-  // serialization charge — the same point Scheduler::execute reads it.
-  VDur completed_at = dst.node().clock.now();
-
-  // The completion section is deliberately NOT split around the write-back
-  // service below: a worker loss between "write-back landed" and
-  // "completion recorded" would re-dispatch a task whose heap effects
-  // already reached home, breaking exactly-once.  The wall service window
-  // is appended after the whole section instead.
-  VDur wb_serve{};
-  int wb_round = 0;
-  {
-    OrderedLock lk(this, order_mu_);
-    Task& t = tasks_[i];
-    if (t.attempts != attempt) {
-      // The worker was failed while we executed; this attempt lost.  Its
-      // write-back is suppressed — a non-winning attempt never mutates home.
-      t.faults_accum += seg->objman().stats().faults;
-      return;
-    }
-    t.pl.executed_at = executed_at;
-    t.pl.completed_at = completed_at;
-    t.result = result;
-    c_->note_completed(w, t.est_cost);
-    t.st = Task::St::Completed;
-    ++completed_total_;
-    policy_->observe(*c_, t.req, t.pl);
-    mig::SodNode& home = c_->home();
-    bool bottom = i + 1 == tasks_.size();
-    auto rep = mig::write_back(*seg, home, home_tid_, bottom ? t.spec.depth_hi : 0, result,
-                               c_->link(w));
-    out_->writeback_bytes += rep.bytes;
-    // Ref-forwarding entries only for classes that can actually chain a ref
-    // (mirrors Scheduler::write_back).
-    if (c_->facts().class_ref_escape(t.pl.cls)) t.home_result = rep.home_result;
-    t.seg = std::move(seg);
-    t.post_wb_clock = dst.node().clock.now();
-    t.completed_wall_ms = ms_since(round_t0_);
-    wb_serve = home.serde().cost(rep.bytes);
-    wb_round = round_;
-    emit_locked(EventKind::SegmentCompleted, t.pl.completed_at, static_cast<int>(i), w,
-                attempt);
-    process_failure_plans_locked();
-    cv_.notify_all();
-  }
-  // Home-side apply of the landed write-back, served on the segment's
-  // stripe: applies on other shards overlap this wall window.
-  stripe_service(mig::HomeShardMap::key_segment(wb_round, static_cast<int>(i)), wb_serve);
-}
-
-void WallClockEngine::do_fail_locked(int worker) {
-  if (worker < 0) worker = pick_failure_target_locked();
-  SOD_CHECK(worker >= 0 && worker < c_->size(), "fail of a bad worker id");
-  if (c_->state(worker) == WorkerState::Retired || c_->state(worker) == WorkerState::Lost)
-    return;
-  int dropped = c_->fail_worker(worker);
-  ++lost_total_;
-  emit_locked(EventKind::WorkerLost, c_->home_now(), -1, worker);
-  SOD_CHECK(c_->accepting_size() > 0, "worker failure left no accepting workers");
-  if (out_ == nullptr) return;  // between rounds: nothing in flight
-  // Re-dispatch every outstanding attempt of the lost worker.  In-flight
-  // jobs of those attempts notice the bumped attempt id at their next
-  // stale check and quietly drop their work.
-  int requeued = 0;
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    Task& t = tasks_[i];
-    if (t.st == Task::St::Unplaced || t.st == Task::St::Completed || t.pl.worker != worker)
-      continue;
-    emit_locked(EventKind::SegmentFailed, c_->home_now(), static_cast<int>(i), worker,
-                t.attempts);
-    redispatch_locked(i);
-    ++out_->redispatched;
-    ++redispatched_total_;
-    ++requeued;
-  }
-  SOD_CHECK(requeued == dropped, "lost-worker queue out of sync with the task table");
-  cv_.notify_all();
-}
-
-void WallClockEngine::process_failure_plans_locked() {
-  for (FailurePlan& plan : plans_) {
-    if (plan.fired || completed_total_ < plan.at_count) continue;
-    plan.fired = true;
-    do_fail_locked(plan.worker);
-  }
-}
-
-DispatchOutcome WallClockEngine::run(int home_tid, const std::vector<mig::SegmentSpec>& specs) {
-  mig::SodNode& home = c_->home();
-  ++round_;
-  SOD_CHECK(c_->admission().admitted,
-            "dispatch of a program that failed admission (see Cluster::admission())");
-  SOD_CHECK(c_->accepting_size() > 0, "dispatch on a cluster with no accepting workers");
-  SOD_CHECK(!specs.empty(), "dispatch of zero segments");
-  for (size_t i = 0; i < specs.size(); ++i) {
-    SOD_CHECK(specs[i].len() >= 1, "empty segment spec");
-    int expect_lo = i == 0 ? 0 : specs[i - 1].depth_hi;
-    SOD_CHECK(specs[i].depth_lo == expect_lo, "segment specs not contiguous from the top");
-  }
+void WallClockEngine::begin_round(size_t segments) {
   if (!pool_) {
-    size_t threads =
-        opt_.threads > 0 ? static_cast<size_t>(opt_.threads)
-                         : static_cast<size_t>(std::max(1, c_->size()));
+    size_t threads = opt_.threads > 0 ? static_cast<size_t>(opt_.threads)
+                                      : static_cast<size_t>(std::max(1, cluster().size()));
     pool_ = std::make_unique<ThreadPool>(threads);
   }
-  pool_->ensure_lane(static_cast<size_t>(c_->size()));
-
-  // Capture every segment while the thread is paused, then drop debug mode
-  // (the paper keeps the tool interface off outside migration events).
-  home_tid_ = home_tid;
-  tasks_.clear();
-  tasks_.reserve(specs.size());
-  for (const auto& s : specs) {
-    Task t;
-    t.spec = s;
-    t.cs = mig::capture_segment(home, home_tid, s);
-    tasks_.push_back(std::move(t));
-  }
-  home.ti().set_debug_enabled(false);
-  home.sync_ti_cost();
-
-  DispatchOutcome out;
-  wall_completed_ms_.assign(tasks_.size(), 0.0);
+  wall_completed_ms_.assign(segments, 0.0);
   round_t0_ = std::chrono::steady_clock::now();
+}
 
-  OrderedLock lk(this, order_mu_);
-  out_ = &out;
-  // Fresh fetch hooks for every worker while all lanes are idle: lane
-  // threads read the hook mid-guest-run, so it must never be reassigned
-  // once jobs are in flight.
-  for (int w = 0; w < c_->size(); ++w)
-    c_->worker(w).enable_class_fetch(&home, c_->link(w), this);
-  // Failure plans already due (scheduled in a previous round) fire before
-  // placement so a lost worker never receives this round's segments.
-  process_failure_plans_locked();
-
-  if (opt_.concurrent) {
-    // Place, virtually ship, AND virtually restore everything first (lanes
-    // idle, clocks safe, Scheduler operation order), THEN enqueue the
-    // wall-time ship sleeps.
-    for (size_t i = 0; i < tasks_.size(); ++i) place_locked(i);
-    for (size_t i = 0; i < tasks_.size(); ++i) submit_ship(i);
-  }
-
-  // Dependency-driven home loop: a segment executes once it is restored
-  // and its upstream neighbour completed, so a lane job never blocks on
-  // another task — re-dispatches can land behind a busy lane without
-  // deadlock.
-  while (tasks_.back().st != Task::St::Completed) {
-    bool progress = false;
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-      Task& t = tasks_[i];
-      bool up_done = i == 0 || tasks_[i - 1].st == Task::St::Completed;
-      if (!opt_.concurrent && t.st == Task::St::Unplaced && up_done) {
-        // Sequential baseline: segment i ships only after i-1 completed
-        // (home's clock waits for the completion it reacts to).
-        if (i > 0) home.node().clock.wait_until(tasks_[i - 1].pl.completed_at);
-        place_locked(i);
-        submit_ship(i);
-        progress = true;
-      }
-      if (t.st == Task::St::Restored && up_done && !t.exec_enqueued) {
-        t.exec_enqueued = true;
-        int attempt = t.attempts;
-        pool_->submit(static_cast<size_t>(t.pl.worker),
-                      [this, i, attempt] { exec_job(i, attempt); });
-        progress = true;
-      }
-    }
-    if (!progress) cv_.wait(lk);
-  }
-  out_ = nullptr;
-  lk.unlock();
-  // Stale attempts still queued on lanes (and the bottom segment's
-  // trailing write-back service) drain before we read the tasks unlocked.
+void WallClockEngine::end_round() {
+  // The last write-back's apply window (and any ship sleep of an attempt
+  // that died with its worker) drains before the round counts as done.
   pool_->wait_idle();
-
   last_round_wall_ms_ = ms_since(round_t0_);
-  out.placements.reserve(tasks_.size());
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    Task& t = tasks_[i];
-    out.faults += t.faults_accum + (t.seg ? t.seg->objman().stats().faults : 0);
-    out.placements.push_back(t.pl);
-    wall_completed_ms_[i] = t.completed_wall_ms;
-  }
-  out.result = tasks_.back().result;
-  return out;
+}
+
+void WallClockEngine::submit_window(size_t i, int w, VDur home_time, VDur transfer) {
+  int shard = shard_map_.shard_of_segment(rounds() - 1, static_cast<int>(i));
+  pool_->submit(static_cast<size_t>(w), [this, shard, home_time, transfer] {
+    // Windows on other home shards overlap this one; windows on the same
+    // shard convoy — with one shard, all of them do.
+    lock_stripe(shard);
+    sleep_scaled(opt_.home_dilation, home_time);
+    unlock_stripe(shard);
+    sleep_scaled(opt_.dilation, transfer);
+  });
+}
+
+void WallClockEngine::shipped(size_t i, int w, VDur serve, VDur transfer) {
+  submit_window(i, w, serve, transfer);
+}
+
+void WallClockEngine::served(size_t i, int w, VDur apply) { submit_window(i, w, apply); }
+
+void WallClockEngine::completed(size_t i, int w, VDur apply) {
+  wall_completed_ms_[i] = ms_since(round_t0_);
+  submit_window(i, w, apply);
+}
+
+void WallClockEngine::run_guest(int w, VDur relay, GuestJob job) {
+  // Queued behind the worker's ship window, so the guest starts only once
+  // its state has arrived in wall time too.
+  guest_live_ = true;
+  pool_->submit(static_cast<size_t>(w), [this, relay, job] {
+    sleep_scaled(opt_.dilation, relay);
+    std::exception_ptr err;
+    try {
+      job();
+    } catch (...) {
+      err = std::current_exception();
+    }
+    MutexLock lk(guest_mu_);
+    guest_err_ = err;
+    guest_done_ = true;
+    guest_cv_.notify_one();
+  });
+  MutexLock lk(guest_mu_);
+  while (!guest_done_) guest_cv_.wait(lk);
+  guest_done_ = false;
+  guest_live_ = false;
+  if (guest_err_) std::rethrow_exception(std::exchange(guest_err_, nullptr));
 }
 
 }  // namespace sod::cluster

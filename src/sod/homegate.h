@@ -1,5 +1,5 @@
 // Home sharding primitives — the deterministic shard map and the gate
-// interface that serializes worker-lane access to home-side state.
+// interface that orders the wall-clock service windows of home-side work.
 //
 // A HomeShardMap assigns every home-side key (object ref, class id,
 // (round, segment) pair) to one of N shards with a stable hash fixed at
@@ -9,27 +9,27 @@
 // the CheckpointStore — route every keyed operation through it; N = 1
 // reproduces the unsharded layout exactly.
 //
-// A HomeGate is the wall-clock engine's two-level lock protocol, seen from
-// the sod layer (ObjectManager faults, the on-demand class fetch hook)
-// without a dependency on the cluster layer:
+// A HomeGate is the wall-clock engine's stripe protocol, seen from the sod
+// layer (ObjectManager faults, the on-demand class fetch hook) without a
+// dependency on the cluster layer:
 //
-//   acquire(key)   take the key's stripe lock, then the single ordered
-//                  lock.  Home virtual-clock accounting, tool-interface
-//                  reads, and heap access all happen inside this window,
-//                  so they stay on one totally ordered path and the
-//                  virtual-time results are bit-identical at any shard
-//                  count.  Calls from a thread already inside the engine's
-//                  ordered section return a nested no-op section.
-//   service(d)     drop the ordered lock and sleep the wall twin of the
-//                  home-side service time `d` holding only the stripe:
-//                  services of different shards overlap, services of the
-//                  same shard convoy — the contention the shard sweep
-//                  measures.  Purely wall-side; no virtual clock moves.
-//   release()      drop whatever the section still holds.
+//   acquire(key)   take the key's stripe lock when called from the lane
+//                  running guest code; a call from the scheduler's loop
+//                  thread (a restore's class fetch, a write-back resolving
+//                  stubs) takes nothing.  Only one thread touches clocks,
+//                  heaps and tool-interface state at a time by
+//                  construction, so the stripe guards no data: it only
+//                  orders service windows in wall time.
+//   service(d)     sleep the wall twin of the home-side service time `d`
+//                  holding the stripe: services of different shards
+//                  overlap, services of the same shard convoy — the
+//                  contention the shard sweep measures.  Purely wall-side;
+//                  no virtual clock moves.
+//   release()      drop the stripe.
 //
-// Lock order is always stripe -> ordered, a thread holds at most one
-// stripe, and nested sections take nothing — the three rules that make
-// the protocol deadlock-free (see ARCHITECTURE.md "Home sharding").
+// A section never opens another (one stripe per thread) and no stripe
+// holder ever waits for anything but a stripe, so the protocol is
+// deadlock-free (see ARCHITECTURE.md "Home sharding").
 //
 // The virtual-time scheduler installs no gate; a null gate makes every
 // GateSection a no-op, preserving the single-threaded fast path.
@@ -88,8 +88,8 @@ class HomeShardMap {
 };
 
 /// Per-stripe lock telemetry (wall-clock engine).  `acquisitions` is
-/// deterministic for a failure-free replay (one per gate section / service
-/// window); the wait-side counters depend on real interleaving and are
+/// deterministic for a given replay, worker losses included (one per
+/// guest gate section / service window); the wait-side counters depend on real interleaving and are
 /// surfaced under wall_* / *_ns column names so the bench differ never
 /// gates on them.
 struct ShardContention {
@@ -109,26 +109,22 @@ struct ShardContention {
   }
 };
 
-/// The two-level home lock protocol, implemented by the wall-clock engine.
+/// The home stripe protocol, implemented by the wall-clock engine.
 class HomeGate {
  public:
-  /// One acquire..release window.  `nested` sections (opened from a thread
-  /// already inside the engine's ordered section) hold nothing and every
-  /// operation on them is a no-op.
+  /// One acquire..release window; `shard` < 0 holds nothing and every
+  /// operation on it is a no-op.
   struct Section {
     int shard = -1;
-    bool nested = false;
-    bool ordered_live = false;  ///< ordered lock still held (pre-service)
   };
 
   virtual ~HomeGate() = default;
 
-  /// Stripe(shard_of(key)) -> ordered lock, in that order.
+  /// Stripe(shard_of(key)), or nothing off the guest lane.
   virtual Section acquire(uint32_t key) = 0;
-  /// Drops the ordered lock and sleeps the dilated wall twin of `home_time`
-  /// holding only the stripe.  At most once per section.
+  /// Sleeps the dilated wall twin of `home_time` holding the stripe.
   virtual void service(Section& s, VDur home_time) = 0;
-  /// Releases the section (ordered first if still held, then the stripe).
+  /// Releases the section's stripe.
   virtual void release(Section& s) = 0;
 };
 

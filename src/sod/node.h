@@ -70,9 +70,7 @@ class SodNode {
 
   /// Wire up the on-demand class fetch hook against a home node.  When
   /// `gate` is non-null (wall-clock mode) the hook runs inside a gate
-  /// section keyed by the class id: the home round trip — and the
-  /// shipped-class set it shares with the dispatcher thread — happen on
-  /// the gate's ordered path, and the home-side image serialization is
+  /// section keyed by the class id: the home-side image serialization is
   /// served as a wall sleep holding only the class's stripe.
   void enable_class_fetch(SodNode* home, sim::Link link, HomeGate* gate = nullptr);
 

@@ -169,9 +169,9 @@ Ref ObjectManager::fetch(Ref home_ref) {
   VDur home_service =
       locate + home_->serde().cost(w.size(), static_cast<int>(batch.size()));
   sim::round_trip(worker_->node(), home_->node(), link_, 64, w.size(), home_service);
-  // Home is done: drop the ordered path and serve the wall twin of the
-  // home-side work holding only this ref's stripe — fetches of objects on
-  // other shards proceed meanwhile.
+  // Home is done: serve the wall twin of the home-side work holding only
+  // this ref's stripe — fetches of objects on other shards proceed
+  // meanwhile.
   gate.service(home_service);
 
   ByteReader r(w.bytes());

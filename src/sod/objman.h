@@ -20,8 +20,8 @@
 // serve_* methods, charged with tool-interface and serialization costs on
 // the home node's clock.  In wall-clock mode every home touch runs inside
 // a HomeGate section keyed by the home ref (or owning class), so requests
-// for objects on different home shards overlap their service windows while
-// the virtual-clock accounting stays on the gate's ordered path.
+// for objects on different home shards overlap their service windows in
+// wall time; the virtual-clock accounting is unchanged.
 //
 // The home-object table (home ref -> local ref) is partitioned by the
 // HomeShardMap when one is installed: keyed lookups route to the key's
@@ -61,11 +61,11 @@ class ObjectManager {
   void bind_home(SodNode* home, int home_tid, int seg_len, sim::Link link);
   void unbind_home() { home_ = nullptr; }
 
-  /// Serialize every home-side touch (tool-interface reads, object fetch
-  /// round trips) through `gate`.  The wall-clock engine installs itself
-  /// here so concurrent worker lanes take the key's stripe plus the
-  /// ordered home lock; nullptr (the default) keeps the lock-free
-  /// single-threaded behaviour of the virtual-time scheduler.
+  /// Run every home-side touch (tool-interface reads, object fetch round
+  /// trips) inside a section of `gate`.  The wall-clock engine installs
+  /// itself here so the guest lane holds the key's stripe for the service
+  /// window; nullptr (the default) keeps the lock-free behaviour of the
+  /// virtual-time scheduler.
   void set_home_gate(HomeGate* gate) { home_gate_ = gate; }
 
   /// Partition the home-object table by `map` (borrowed; must outlive the

@@ -8,11 +8,8 @@
 // handle to an un-annotated API (condition variables, C callbacks) uses
 // `native()` — the analysis cannot see through it.
 //
-// There is deliberately no recursive mutex here: the wall-clock engine's
-// former re-entrant home mutex is replaced by the two-level home gate
-// (sod/homegate.h), whose nested sections detect an already-held ordered
-// lock through a thread-local instead of re-locking, so every capability
-// the analysis tracks is acquired exactly once.
+// There is deliberately no recursive mutex here: every capability the
+// analysis tracks is acquired exactly once per holder.
 #pragma once
 
 #include <mutex>

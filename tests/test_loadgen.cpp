@@ -189,50 +189,83 @@ TEST(LoadGenTest, ReplayDeterministic) {
 }
 
 TEST(LoadGenTest, HomeShardsPreserveTheReplayOnBothEngines) {
-  // One failure-free multitenant trace replayed at 1, 2, and 4 home
-  // shards on the virtual scheduler AND the wall-clock engine: every run
-  // must reproduce the unsharded virtual replay bit for bit (results,
-  // session latencies, segments, percentiles), and on the engine the
-  // stripe-acquisition total must be the same at every shard count.
-  TraceConfig cfg;
-  cfg.sessions = 16;
-  cfg.tenants = 3;
-  cfg.apps = 2;
-  cfg.seed = 5;
-  Trace tr = sod::cluster::make_trace(cfg);
-  LoadGenOptions base;
-  auto ref = sod::cluster::run_loadgen(tr, base);
-  ASSERT_TRUE(ref.all_ok);
-  ASSERT_TRUE(ref.exactly_once);
-  EXPECT_EQ(ref.home_shards, 1);
-  EXPECT_EQ(ref.lock_acq, 0u);  // virtual mode: no stripes exist
-  uint64_t engine_acq = 0;
-  for (bool wallclock : {false, true}) {
-    for (int shards : {1, 2, 4}) {
-      LoadGenOptions opts;
-      opts.wallclock = wallclock;
-      opts.threads = wallclock ? 4 : 0;
-      opts.home_shards = shards;
-      auto r = sod::cluster::run_loadgen(tr, opts);
-      std::string where = std::string(wallclock ? "engine" : "virtual") + "/shards=" +
-                          std::to_string(shards);
-      EXPECT_TRUE(r.all_ok) << where;
-      EXPECT_TRUE(r.exactly_once) << where;
-      EXPECT_EQ(r.home_shards, shards) << where;
-      EXPECT_EQ(r.results, ref.results) << where;
-      EXPECT_EQ(r.session_ms, ref.session_ms) << where;
-      EXPECT_EQ(r.segments, ref.segments) << where;
-      EXPECT_DOUBLE_EQ(r.completion_ms.p99(), ref.completion_ms.p99()) << where;
-      EXPECT_DOUBLE_EQ(r.total_ms, ref.total_ms) << where;
-      if (wallclock) {
-        EXPECT_GT(r.lock_acq, 0u) << where;
-        if (engine_acq == 0) {
-          engine_acq = r.lock_acq;
+  // One multitenant trace replayed at 1, 2, and 4 home shards on the
+  // virtual scheduler AND the wall-clock engine: every run must reproduce
+  // the unsharded virtual replay bit for bit (results, session latencies,
+  // segments, percentiles, recovery counters), and on the engine the
+  // stripe-acquisition total must be the same at every shard count.  Two
+  // inputs: a failure-free trace, and one with two worker losses under
+  // checkpoints and speculation on the straggler topology.
+  struct Input {
+    const char* name;
+    TraceConfig cfg;
+    LoadGenOptions opts;
+  };
+  Input plain{"plain", {}, {}};
+  plain.cfg.sessions = 16;
+  plain.cfg.tenants = 3;
+  plain.cfg.apps = 2;
+  plain.cfg.seed = 5;
+  Input recovery = plain;
+  recovery.name = "checkpoint+speculate+failures=2";
+  recovery.cfg.failures = 2;
+  sod::mig::SodNode::Config dev;
+  dev.cpu_scale = 25.0;
+  recovery.opts.workers = {{"xeon1", {}, sod::sim::Link::gigabit()},
+                           {"xeon2", {}, sod::sim::Link::gigabit()},
+                           {"xeon3", {}, sod::sim::Link::gigabit()},
+                           {"wifi-device", dev, sod::sim::Link::wifi_kbps(2000)}};
+  recovery.opts.segments_per_round = 3;
+  recovery.opts.dispatch.checkpoint_every = 2000;
+  recovery.opts.dispatch.speculate = true;
+
+  for (const Input& in : {plain, recovery}) {
+    SCOPED_TRACE(in.name);
+    Trace tr = sod::cluster::make_trace(in.cfg);
+    auto ref = sod::cluster::run_loadgen(tr, in.opts);
+    ASSERT_TRUE(ref.all_ok);
+    ASSERT_TRUE(ref.exactly_once);
+    EXPECT_EQ(ref.home_shards, 1);
+    EXPECT_EQ(ref.lock_acq, 0u);  // virtual mode: no stripes exist
+    if (in.cfg.failures > 0) {
+      EXPECT_EQ(ref.workers_lost, in.cfg.failures);
+      EXPECT_GT(ref.checkpoints, 0);
+      EXPECT_GT(ref.speculated, 0);
+    }
+    uint64_t engine_acq = 0;
+    for (bool wallclock : {false, true}) {
+      for (int shards : {1, 2, 4}) {
+        LoadGenOptions opts = in.opts;
+        opts.wallclock = wallclock;
+        opts.threads = wallclock ? 4 : 0;
+        opts.home_shards = shards;
+        auto r = sod::cluster::run_loadgen(tr, opts);
+        std::string where = std::string(wallclock ? "engine" : "virtual") + "/shards=" +
+                            std::to_string(shards);
+        EXPECT_TRUE(r.all_ok) << where;
+        EXPECT_TRUE(r.exactly_once) << where;
+        EXPECT_EQ(r.home_shards, shards) << where;
+        EXPECT_EQ(r.results, ref.results) << where;
+        EXPECT_EQ(r.session_ms, ref.session_ms) << where;
+        EXPECT_EQ(r.segments, ref.segments) << where;
+        EXPECT_DOUBLE_EQ(r.completion_ms.p99(), ref.completion_ms.p99()) << where;
+        EXPECT_DOUBLE_EQ(r.total_ms, ref.total_ms) << where;
+        EXPECT_EQ(r.workers_lost, ref.workers_lost) << where;
+        EXPECT_EQ(r.redispatched, ref.redispatched) << where;
+        EXPECT_EQ(r.resumed, ref.resumed) << where;
+        EXPECT_EQ(r.checkpoints, ref.checkpoints) << where;
+        EXPECT_EQ(r.speculated, ref.speculated) << where;
+        EXPECT_EQ(r.cancelled, ref.cancelled) << where;
+        if (wallclock) {
+          EXPECT_GT(r.lock_acq, 0u) << where;
+          if (engine_acq == 0) {
+            engine_acq = r.lock_acq;
+          } else {
+            EXPECT_EQ(r.lock_acq, engine_acq) << where;
+          }
         } else {
-          EXPECT_EQ(r.lock_acq, engine_acq) << where;
+          EXPECT_EQ(r.lock_acq, 0u) << where;
         }
-      } else {
-        EXPECT_EQ(r.lock_acq, 0u) << where;
       }
     }
   }

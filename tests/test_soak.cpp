@@ -51,8 +51,8 @@ TEST(SoakTest, ShardedHomeOnWallClockEngineUnderChurn) {
   // The churn soak again, but with the home state striped over 4 shards
   // and a pool bigger than the worker count: ship/restore/write-back
   // service windows of different shards genuinely overlap while workers
-  // join, drain, and die — the shape that surfaces stripe-vs-ordered
-  // lock-ordering races under TSan.  Sharding must not cost a single
+  // join, drain, and die — the shape that surfaces stripe and lane
+  // hand-off races under TSan.  Sharding must not cost a single
   // session or exactly-once violation.
   TraceConfig cfg;
   cfg.sessions = 240;

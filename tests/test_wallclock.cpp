@@ -1,10 +1,11 @@
 // Wall-clock engine: the ThreadPool runs lane jobs FIFO and cross-lane
 // jobs genuinely in parallel; the WallClockEngine reproduces the
-// virtual-time Scheduler bit-for-bit where contracted (application
-// results, write-back payload bytes, the completion set) on every Table I
-// app at 1 and 4 pool threads; and a stressed engine — membership churn
-// between rounds plus a mid-round worker loss — still executes every
-// segment exactly once.
+// virtual-time Scheduler bit for bit (application results, write-back
+// payload bytes, the full event log) on every Table I app at 1 and 4 pool
+// threads — also after a worker loss, with checkpoints, and with
+// speculation; and a stressed engine — membership churn between rounds
+// plus a mid-round worker loss — still executes every segment exactly
+// once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,8 +14,10 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
@@ -88,9 +91,14 @@ TEST(ThreadPool, WaitIdleCoversJobsSubmittedByJobs) {
 struct AppOutcome {
   int64_t result = 0;
   size_t writeback_bytes = 0;
-  // (round, segment, virtual completion ns): fault-free wall runs must
-  // reproduce the Scheduler's virtual completion instants bit for bit.
+  // (round, segment, virtual completion ns): wall runs must reproduce the
+  // Scheduler's virtual completion instants bit for bit.
   std::multiset<std::tuple<int, int, int64_t>> completions;
+  // The whole event log: (kind, at ns, round, segment, worker, attempt).
+  std::vector<std::tuple<int, int64_t, int, int, int, int>> log;
+  int workers_lost = 0;
+  int checkpoints = 0;
+  int speculated = 0;
   bool exactly_once = false;
   bool done = false;
   // Home stripe telemetry (wall engine only): one entry per home shard,
@@ -100,26 +108,50 @@ struct AppOutcome {
   uint64_t lock_acq = 0;
 };
 
+/// Dispatch options plus a worker-loss plan for run_app.
+struct RunConfig {
+  DispatchOptions dispatch{};
+  int fail_after = -1;             ///< Scheduler::fail_after(n); -1 = none
+  int fail_after_checkpoints = 0;  ///< Scheduler::fail_after_checkpoints(n); 0 = none
+  /// Two gigabit Xeons plus a 25x-slower wifi device instead of three
+  /// uniform workers (the speculation topology).
+  bool straggler = false;
+};
+
 /// The run_table1_app round loop from the CLI driver, on either engine:
 /// threads < 0 = virtual-time Scheduler, threads >= 0 = WallClockEngine
 /// (0 = one pool thread per worker).  `shards` > 0 stripes the home state.
-AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0) {
+AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0,
+                   const RunConfig& rc = {}) {
   bc::Program p = spec.build();
   prep::preprocess_program(p);
   Cluster c(p);
-  c.add_uniform_workers(3);
+  if (rc.straggler) {
+    c.add_worker({"xeon1", {}, sim::Link::gigabit()});
+    c.add_worker({"xeon2", {}, sim::Link::gigabit()});
+    mig::SodNode::Config dev;
+    dev.cpu_scale = 25.0;
+    c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
+  } else {
+    c.add_uniform_workers(3);
+  }
   if (shards > 0) c.set_home_shards(shards);
   auto pol = make_policy(PolicyKind::LeastLoaded);
 
   std::unique_ptr<Scheduler> sched;
-  std::unique_ptr<WallClockEngine> engine;
+  WallClockEngine* engine = nullptr;
   if (threads < 0) {
-    sched = std::make_unique<Scheduler>(c, *pol);
+    sched = std::make_unique<Scheduler>(c, *pol, rc.dispatch);
   } else {
     WallClockOptions wopt;
+    static_cast<DispatchOptions&>(wopt) = rc.dispatch;
     wopt.threads = threads;
-    engine = std::make_unique<WallClockEngine>(c, *pol, wopt);
+    auto e = std::make_unique<WallClockEngine>(c, *pol, wopt);
+    engine = e.get();
+    sched = std::move(e);
   }
+  if (rc.fail_after >= 0) sched->fail_after(rc.fail_after);
+  if (rc.fail_after_checkpoints > 0) sched->fail_after_checkpoints(rc.fail_after_checkpoints);
 
   uint16_t trigger = p.find_method(spec.trigger_method);
   int depth = std::min(spec.paper_depth, 4);
@@ -131,7 +163,7 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0) {
     int k = std::min(remaining, depth - 1);
     if (remaining > k) k = std::max(1, depth - 2);
     auto specs = split_top_frames(k);
-    auto out = engine ? engine->run(tid, specs) : sched->run(tid, specs);
+    auto out = sched->run(tid, specs);
     c.home().ti().set_debug_enabled(false);
     o.writeback_bytes += out.writeback_bytes;
     remaining -= k;
@@ -140,10 +172,15 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0) {
   auto rr = c.home().run_guest(tid);
   o.done = rr.reason == svm::StopReason::Done;
   if (o.done) o.result = c.home().vm().thread(tid).result.as_i64();
-  const auto& log = engine ? engine->log() : sched->log();
-  for (const Event& e : log)
+  for (const Event& e : sched->log()) {
     if (e.kind == EventKind::SegmentCompleted) o.completions.emplace(e.round, e.segment, e.at.ns);
-  o.exactly_once = engine ? engine->exactly_once() : sched->exactly_once();
+    o.log.emplace_back(static_cast<int>(e.kind), e.at.ns, e.round, e.segment, e.worker,
+                       e.attempt);
+  }
+  o.exactly_once = sched->exactly_once();
+  o.workers_lost = sched->workers_lost();
+  o.checkpoints = sched->checkpoints();
+  o.speculated = sched->speculations();
   if (engine) {
     o.shard_stats = engine->shard_contention();
     o.lock_acq = engine->total_contention().acquisitions;
@@ -169,6 +206,57 @@ TEST(WallClock, TableOneAppsMatchTheVirtualSchedulerBitForBit) {
       EXPECT_EQ(got.result, ref.result);
       EXPECT_EQ(got.writeback_bytes, ref.writeback_bytes);
       EXPECT_EQ(got.completions, ref.completions);
+    }
+  }
+}
+
+TEST(WallClock, LossCheckpointAndSpeculationRunsMatchTheVirtualSchedulerBitForBit) {
+  // The engine is the Scheduler's own loop, so the contract has no
+  // fault-free carve-out: after a worker loss, with checkpoints and a
+  // checkpoint-triggered loss, and with speculative backups racing the
+  // straggler device, the wall run's whole event log — kinds, virtual
+  // instants, rounds, segments, workers, attempts — results and
+  // write-back bytes equal the virtual run's.
+  RunConfig loss;
+  loss.fail_after = 2;
+  RunConfig ckpt_loss;
+  ckpt_loss.dispatch.checkpoint_every = 5000;
+  ckpt_loss.fail_after_checkpoints = 1;
+  RunConfig spec;
+  spec.dispatch.checkpoint_every = 5000;
+  spec.dispatch.speculate = true;
+  spec.straggler = true;
+  const std::pair<const char*, RunConfig> inputs[] = {
+      {"fail_after(2)", loss},
+      {"checkpoints + fail_after_checkpoints(1)", ckpt_loss},
+      {"checkpoints + speculation on the straggler topology", spec},
+  };
+  for (const apps::AppSpec& app : {apps::fib_app(), apps::nqueens_app()}) {
+    for (const auto& [name, rc] : inputs) {
+      SCOPED_TRACE(app.name + ": " + name);
+      AppOutcome ref = run_app(app, -1, 0, rc);
+      ASSERT_TRUE(ref.done);
+      ASSERT_TRUE(ref.exactly_once);
+      EXPECT_EQ(ref.result, app.bench_expected);
+      // Each input must actually exercise its path in the reference run.
+      if (rc.fail_after >= 0 || rc.fail_after_checkpoints > 0) {
+        EXPECT_EQ(ref.workers_lost, 1);
+      }
+      if (rc.dispatch.checkpoint_every > 0) {
+        EXPECT_GT(ref.checkpoints, 0);
+      }
+      if (rc.dispatch.speculate) {
+        EXPECT_GT(ref.speculated, 0);
+      }
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        AppOutcome got = run_app(app, threads, 0, rc);
+        ASSERT_TRUE(got.done);
+        EXPECT_TRUE(got.exactly_once);
+        EXPECT_EQ(got.result, ref.result);
+        EXPECT_EQ(got.writeback_bytes, ref.writeback_bytes);
+        EXPECT_EQ(got.log, ref.log);
+      }
     }
   }
 }
