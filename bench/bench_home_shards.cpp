@@ -20,7 +20,10 @@
 //
 // Columns: virtual percentiles and lock_acq are deterministic and gated
 // by the bench differ; wall_* / *_ns columns are real wall-clock
-// measurements and exempt (scripts/bench_diff.py).
+// measurements and exempt (scripts/bench_diff.py) — wall_arrival_ms,
+// wall_guest_ms and wall_drain_ms split the engine loop's blocked time
+// into waiting for a guest's own ships, for guest jobs, and for the
+// round-end drain.
 //
 // Flags: --sessions N, --seed S, --smoke.
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include "cli/scenario.h"
 #include "cluster/loadgen.h"
 #include "cluster/placement.h"
+#include "cluster/wallclock.h"
 #include "support/table.h"
 
 using namespace sod;
@@ -74,7 +78,8 @@ int run(const cli::ScenarioOptions& opt) {
 
   Table t({"config", "shards", "threads", "sessions", "completed", "p50 ms", "p95 ms",
            "p99 ms", "total ms", "lock_acq", "wall_mean_ms", "wall_p99_ms", "wall_total_ms",
-           "wall_contended", "lock_wait_ns", "lock_max_wait_ns", "wall_max_queue"});
+           "wall_contended", "lock_wait_ns", "lock_max_wait_ns", "wall_max_queue",
+           "wall_arrival_ms", "wall_guest_ms", "wall_drain_ms"});
   bool all_ok = true;
   bool have_ref = false;
   cluster::LoadGenResult ref;                 // first cell: virtual-side baseline
@@ -90,7 +95,8 @@ int run(const cli::ScenarioOptions& opt) {
       lg.home_shards = shards;
       lg.dilation = kCommDilation;
       lg.home_dilation = kHomeDilation;
-      auto r = cluster::run_loadgen(trace, lg);
+      cluster::WallLoopWaits waits;
+      auto r = cluster::run_loadgen(trace, lg, &waits);
       std::string label = fmt("s%d/t%d", shards, threads);
       if (!r.all_ok || !r.exactly_once) {
         std::fprintf(stderr, "home_shards: %s replay failed (%d/%d ok, exactly-once %s)\n",
@@ -136,7 +142,9 @@ int run(const cli::ScenarioOptions& opt) {
              std::to_string(r.lock_acq), fmt("%.3f", r.wall_completion_ms.mean()),
              fmt("%.3f", r.wall_completion_ms.p99()), fmt("%.3f", r.wall_total_ms),
              std::to_string(r.wall_contended), std::to_string(r.lock_wait_ns),
-             std::to_string(r.lock_max_wait_ns), std::to_string(r.wall_max_queue)});
+             std::to_string(r.lock_max_wait_ns), std::to_string(r.wall_max_queue),
+             fmt("%.3f", waits.arrival_ms), fmt("%.3f", waits.guest_ms),
+             fmt("%.3f", waits.drain_ms)});
     }
   }
   // The scaling claim: with 4 pool threads contending for home service,

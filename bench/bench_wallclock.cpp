@@ -17,7 +17,9 @@
 // scripts/bench_diff.py skips them (and any *_ns column) when gating.
 // Each engine row also reports the home stripe-lock telemetry (lock_acq
 // is deterministic for a failure-free run; the wait-side counters are
-// wall-side and exempt) — see the home_shards bench for the full sweep.
+// wall-side and exempt) — see the home_shards bench for the full sweep —
+// and where the loop's wall time went: waiting for a guest's own ships to
+// leave home, for guest jobs, and for the round-end drain.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -48,6 +50,7 @@ struct RunRec {
   double wall_total_ms = 0;
   size_t writeback_bytes = 0;
   mig::ShardContention lock;  // home stripe telemetry, wall engine only
+  cluster::WallLoopWaits waits;  // where the loop's wall time went, wall engine only
   bool ok = false;
   bool exactly_once = true;
 };
@@ -109,7 +112,10 @@ RunRec run_once(int threads, int rounds) {
   rec.ok = rr.reason == svm::StopReason::Done &&
            c.home().vm().thread(tid).result.as_i64() == spec.bench_expected;
   rec.exactly_once = sched->exactly_once();
-  if (engine) rec.lock = engine->total_contention();
+  if (engine) {
+    rec.lock = engine->total_contention();
+    rec.waits = engine->loop_waits();
+  }
   rec.virt_total_ms = c.home().node().clock.now().ms();
   if (rec.segments > 0) {
     rec.virt_mean_ms = virt_sum_ms / rec.segments;
@@ -125,10 +131,11 @@ int run(const cli::ScenarioOptions& opt) {
 
   Table t({"mode", "segments", "virt_mean_ms", "virt_total_ms", "wall_mean_ms",
            "wall_total_ms", "lock_acq", "wall_contended", "lock_wait_ns",
-           "lock_max_wait_ns", "wall_max_queue"});
+           "lock_max_wait_ns", "wall_max_queue", "wall_arrival_ms", "wall_guest_ms",
+           "wall_drain_ms"});
   RunRec ref = run_once(0, rounds);
   t.row({"virtual", std::to_string(ref.segments), fmt("%.3f", ref.virt_mean_ms),
-         fmt("%.3f", ref.virt_total_ms), "-", "-", "-", "-", "-", "-", "-"});
+         fmt("%.3f", ref.virt_total_ms), "-", "-", "-", "-", "-", "-", "-", "-", "-", "-"});
 
   bool all_ok = ref.ok && ref.exactly_once;
   if (!ref.ok) std::fprintf(stderr, "wallclock: virtual reference run failed\n");
@@ -142,7 +149,8 @@ int run(const cli::ScenarioOptions& opt) {
            fmt("%.3f", r.wall_mean_ms), fmt("%.3f", r.wall_total_ms),
            std::to_string(r.lock.acquisitions), std::to_string(r.lock.contended),
            std::to_string(r.lock.wait_ns), std::to_string(r.lock.max_wait_ns),
-           std::to_string(r.lock.max_queue)});
+           std::to_string(r.lock.max_queue), fmt("%.3f", r.waits.arrival_ms),
+           fmt("%.3f", r.waits.guest_ms), fmt("%.3f", r.waits.drain_ms)});
     if (!r.ok) {
       std::fprintf(stderr, "wallclock: threads-%d run failed\n", threads);
       all_ok = false;

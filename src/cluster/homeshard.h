@@ -2,8 +2,8 @@
 //
 // The scheduler's ref-forwarding table is home state keyed by segment: a
 // completion write-back appends the forwarding entry for its segment, and
-// under the wall-clock engine completions on different lanes land behind
-// different home shards.  RefForwardTable partitions the entries by the
+// under the wall-clock engine the apply windows of different segments land
+// behind different home shards.  RefForwardTable partitions the entries by the
 // segment's shard (the same deterministic HomeShardMap that splits the
 // ObjectManager home-object table and the CheckpointStore) while stamping
 // each record with a global sequence number, so ordered() reassembles the

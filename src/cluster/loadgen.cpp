@@ -155,7 +155,8 @@ struct SessState {
 
 }  // namespace
 
-LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
+LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts,
+                          WallLoopWaits* loop_waits) {
   LoadGenResult res;
   const size_t n = trace.sessions.size();
   res.sessions = static_cast<int>(n);
@@ -435,6 +436,7 @@ LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts) {
     res.lock_max_wait_ns = total.max_wait_ns;
     res.wall_max_queue = total.max_queue;
     res.wall_total_ms = wall_ms_since_start();
+    if (loop_waits) *loop_waits = engine->loop_waits();
   }
   res.total_ms = c.home_now().ms();
   return res;

@@ -218,9 +218,13 @@ struct LoadGenResult {
   double wall_total_ms = 0;
 };
 
+struct WallLoopWaits;
+
 /// Replays `trace` against one shared cluster.  Deterministic in virtual
 /// mode: the same trace and options reproduce results, latencies, and the
-/// event log bit-identically.
-LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts);
+/// event log bit-identically.  In wall-clock mode a non-null `loop_waits`
+/// receives the engine's WallClockEngine::loop_waits() for the replay.
+LoadGenResult run_loadgen(const Trace& trace, const LoadGenOptions& opts,
+                          WallLoopWaits* loop_waits = nullptr);
 
 }  // namespace sod::cluster

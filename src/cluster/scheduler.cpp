@@ -483,7 +483,7 @@ void Scheduler::prepare(size_t i) {
       dst.ti().set_debug_enabled(true);
       seg.deliver(v_in);
     };
-    run_guest(pl.worker, relay, deliver);
+    run_guest(i, pl.worker, relay, deliver);
   }
   // Debug mode is per-node, not per-segment: a lower segment restored on
   // this worker after `seg` left the node's debug interpreter on, and
@@ -510,7 +510,7 @@ void Scheduler::run_attempts(size_t i) {
   auto chunk = [&](mig::Segment& seg, int w) {
     svm::StopReason sr{};
     auto run = [&] { sr = seg.run_chunk(opt_.checkpoint_every); };
-    run_guest(w, VDur{}, run);
+    run_guest(i, w, VDur{}, run);
     return sr;
   };
   bool primary_done = false;
@@ -626,7 +626,7 @@ void Scheduler::execute(size_t i) {
       t.result = t.seg->run_to_completion();
       pl.completed_at = dst.node().clock.now();
     };
-    run_guest(pl.worker, VDur{}, run);
+    run_guest(i, pl.worker, VDur{}, run);
   } else {
     run_attempts(i);
   }

@@ -43,8 +43,9 @@
 // append — happens here, on the thread that called run().  The points
 // where real (wall) time would pass are a small protected executor seam:
 // this class runs guest code inline and lets no wall time pass, while the
-// WallClockEngine (wallclock.h) overrides the seam to run guest code on a
-// thread-pool lane and to sleep transfers and home service windows there.
+// WallClockEngine (wallclock.h) overrides the seam to run guest code and
+// sleep transfers on thread-pool lanes and to sleep home service windows
+// as home jobs.
 // Because the loop is the same, wall runs reproduce virtual runs bit for
 // bit by construction, worker losses included.
 #pragma once
@@ -345,9 +346,9 @@ class Scheduler {
   /// An attempt of segment `i` left home for worker `w`: home serialized
   /// it for `serve` and the link carries it for `transfer`.
   virtual void shipped(size_t /*i*/, int /*w*/, VDur /*serve*/, VDur /*transfer*/) {}
-  /// Runs guest work on worker `w` once `relay` of inbound transfer has
-  /// passed; returns when `job` has finished.
-  virtual void run_guest(int /*w*/, VDur /*relay*/, GuestJob job) { job(); }
+  /// Runs guest work of segment `i` on worker `w` once `relay` of inbound
+  /// transfer has passed; returns when `job` has finished.
+  virtual void run_guest(size_t /*i*/, int /*w*/, VDur /*relay*/, GuestJob job) { job(); }
   /// Home spends `apply` absorbing a checkpoint flush of segment `i`.
   virtual void served(size_t /*i*/, int /*w*/, VDur /*apply*/) {}
   /// Segment `i`'s write-back landed; home spends `apply` absorbing it.

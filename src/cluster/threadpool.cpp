@@ -15,6 +15,9 @@ ThreadPool::ThreadPool(size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
+  // Jobs may still submit jobs (a home job hands on its transfer): let
+  // them all run before refusing new work.
+  wait_idle();
   {
     MutexLock lk(mu_);
     stop_ = true;
@@ -23,17 +26,22 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::ensure_lane(size_t n) {
-  MutexLock lk(mu_);
-  if (lanes_.size() < n) lanes_.resize(n);
-}
-
 void ThreadPool::submit(size_t lane, std::function<void()> job) {
   {
     MutexLock lk(mu_);
     SOD_CHECK(!stop_, "submit after shutdown");
     if (lanes_.size() <= lane) lanes_.resize(lane + 1);
     lanes_[lane].q.push_back(std::move(job));
+    ++pending_;
+  }
+  cv_work_.notify_one();
+}
+
+void ThreadPool::submit_home(std::function<void()> job) {
+  {
+    MutexLock lk(mu_);
+    SOD_CHECK(!stop_, "submit after shutdown");
+    home_.push_back(std::move(job));
     ++pending_;
   }
   cv_work_.notify_one();
@@ -51,6 +59,17 @@ size_t ThreadPool::find_runnable() const {
   return npos;
 }
 
+void ThreadPool::retire_job() {
+  SOD_CHECK(pending_ > 0, "pending underflow");
+  if (--pending_ == 0) {
+    cv_idle_.notify_all();
+  } else {
+    // A finished job may have submitted work (a home job hands its
+    // transfer to a lane); wake a sibling to look.
+    cv_work_.notify_one();
+  }
+}
+
 void ThreadPool::worker_main() {
   MutexLock lk(mu_);
   while (true) {
@@ -58,15 +77,25 @@ void ThreadPool::worker_main() {
     // can track the scoped lock through condition_variable_any::wait, but
     // not a capture that touches guarded members from a nested closure.
     size_t lane = find_runnable();
-    while (lane == npos && !(stop_ && pending_ == 0)) {
+    while (lane == npos && home_.empty() && !stop_) {
       cv_work_.wait(lk);
       lane = find_runnable();
     }
-    if (lane == npos) return;  // shutdown and nothing left to run
+    if (lane == npos && home_.empty()) return;  // shutdown: the destructor drained every job
+
+    if (lane == npos) {
+      std::function<void()> job = std::move(home_.front());
+      home_.pop_front();
+      lk.unlock();
+      job();
+      lk.lock();
+      retire_job();
+      continue;
+    }
 
     // Claim the lane and drain it FIFO.  Jobs submitted to this lane while
-    // we drain are picked up in the same pass; other lanes stay available
-    // to the remaining pool threads.
+    // we drain are picked up in the same pass; other lanes and the home
+    // queue stay available to the remaining pool threads.
     lanes_[lane].claimed = true;
     while (!lanes_[lane].q.empty()) {
       std::function<void()> job = std::move(lanes_[lane].q.front());
@@ -74,15 +103,7 @@ void ThreadPool::worker_main() {
       lk.unlock();
       job();
       lk.lock();
-      SOD_CHECK(pending_ > 0, "pending underflow");
-      if (--pending_ == 0) {
-        cv_idle_.notify_all();
-        cv_work_.notify_all();  // let waiting threads observe shutdown
-      } else {
-        // A finished job may have unblocked work on other lanes (it can
-        // submit jobs during execution); wake a sibling to look.
-        cv_work_.notify_one();
-      }
+      retire_job();
     }
     lanes_[lane].claimed = false;
   }

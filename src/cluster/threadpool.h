@@ -1,12 +1,21 @@
 // Worker thread pool for the wall-clock execution engine.
 //
-// The pool owns N OS threads multiplexed over per-lane FIFO job queues —
-// one lane per cluster worker (the paper's one-JVM-per-node shape).  Jobs
-// on the same lane never run concurrently and always run in submission
-// order, because a worker SodNode is single-threaded state: a lane is
-// *claimed* by exactly one pool thread, drained FIFO, then released.
-// Cross-lane jobs run genuinely in parallel, which is what turns the
-// simulator's overlapped virtual intervals into real overlapped wall time.
+// The pool owns N OS threads multiplexed over two kinds of queue:
+//
+//   - per-lane FIFO job queues, one lane per cluster worker (the paper's
+//     one-JVM-per-node shape).  Jobs on the same lane never run
+//     concurrently and always run in submission order, because a worker
+//     SodNode is single-threaded state and its inbound link delivers in
+//     order: a lane is *claimed* by exactly one pool thread, drained FIFO,
+//     then released;
+//   - one lane-less *home* queue.  Any free pool thread takes the next
+//     home job, so home jobs overlap each other and every lane; what they
+//     share (home stripes) they order themselves.
+//
+// A free thread prefers an unclaimed lane with queued work, then a home
+// job.  Cross-lane and home jobs run genuinely in parallel, which is what
+// turns the simulator's overlapped virtual intervals into real overlapped
+// wall time.
 #pragma once
 
 #include <condition_variable>
@@ -25,20 +34,24 @@ class ThreadPool {
  public:
   /// Spawns `threads` OS threads (at least 1).
   explicit ThreadPool(size_t threads);
-  /// Finishes all queued jobs, then joins the threads.
+  /// Finishes all queued jobs and the jobs they submit, then joins the
+  /// threads.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Make lanes [0, n) exist (idempotent; thread-safe).
-  void ensure_lane(size_t n);
-
-  /// Enqueue `job` on `lane` (FIFO within the lane).  Thread-safe; may be
-  /// called from pool threads themselves (e.g. failure re-dispatch).
+  /// Enqueue `job` on `lane` (FIFO within the lane; lanes [0, lane] are
+  /// created on demand).  Thread-safe; may be called from pool threads
+  /// themselves (e.g. a home job handing its transfer to a worker lane).
   void submit(size_t lane, std::function<void()> job);
 
-  /// Block until every submitted job has finished running.
+  /// Enqueue `job` on the home queue: the next free pool thread runs it,
+  /// concurrently with any other home or lane job.  Thread-safe.
+  void submit_home(std::function<void()> job);
+
+  /// Block until every submitted job — including jobs submitted by jobs —
+  /// has finished running.
   void wait_idle();
 
   size_t threads() const { return workers_.size(); }
@@ -52,13 +65,16 @@ class ThreadPool {
   void worker_main();
   /// Returns the index of an unclaimed lane with queued work, or npos.
   size_t find_runnable() const SOD_REQUIRES(mu_);
+  /// Counts a finished job out of pending_ and wakes whoever it concerns.
+  void retire_job() SOD_REQUIRES(mu_);
 
   static constexpr size_t npos = static_cast<size_t>(-1);
 
   mutable Mutex mu_;
-  std::condition_variable_any cv_work_;  ///< lane became runnable / shutdown
+  std::condition_variable_any cv_work_;  ///< work became runnable / shutdown
   std::condition_variable_any cv_idle_;  ///< pending_ hit zero
   std::vector<Lane> lanes_ SOD_GUARDED_BY(mu_);
+  std::deque<std::function<void()>> home_ SOD_GUARDED_BY(mu_);
   size_t pending_ SOD_GUARDED_BY(mu_) = 0;  ///< queued + running jobs
   bool stop_ SOD_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;

@@ -110,36 +110,64 @@ void WallClockEngine::begin_round(size_t segments) {
 void WallClockEngine::end_round() {
   // The last write-back's apply window (and any ship sleep of an attempt
   // that died with its worker) drains before the round counts as done.
+  auto t0 = std::chrono::steady_clock::now();
   pool_->wait_idle();
+  waits_.drain_ms += ms_since(t0);
   last_round_wall_ms_ = ms_since(round_t0_);
 }
 
-void WallClockEngine::submit_window(size_t i, int w, VDur home_time, VDur transfer) {
-  int shard = shard_map_.shard_of_segment(rounds() - 1, static_cast<int>(i));
-  pool_->submit(static_cast<size_t>(w), [this, shard, home_time, transfer] {
-    // Windows on other home shards overlap this one; windows on the same
-    // shard convoy — with one shard, all of them do.
-    lock_stripe(shard);
-    sleep_scaled(opt_.home_dilation, home_time);
-    unlock_stripe(shard);
-    sleep_scaled(opt_.dilation, transfer);
-  });
+int WallClockEngine::segment_shard(size_t i) const {
+  return shard_map_.shard_of_segment(rounds() - 1, static_cast<int>(i));
+}
+
+void WallClockEngine::hold_stripe(int shard, VDur home_time) {
+  // Windows on other home shards overlap this one; windows on the same
+  // shard convoy — with one shard, all of them do.
+  lock_stripe(shard);
+  sleep_scaled(opt_.home_dilation, home_time);
+  unlock_stripe(shard);
 }
 
 void WallClockEngine::shipped(size_t i, int w, VDur serve, VDur transfer) {
-  submit_window(i, w, serve, transfer);
+  std::pair key(i, w);
+  {
+    MutexLock lk(guest_mu_);
+    ++ships_at_home_[key];
+  }
+  pool_->submit_home([this, key, shard = segment_shard(i), serve, transfer] {
+    hold_stripe(shard, serve);
+    // The state is on the destination's inbound link now: queue the
+    // transfer on its lane before telling the loop, so the guest job the
+    // loop then queues runs only after the state has landed.
+    pool_->submit(static_cast<size_t>(key.second),
+                  [this, transfer] { sleep_scaled(opt_.dilation, transfer); });
+    MutexLock lk(guest_mu_);
+    if (--ships_at_home_[key] == 0) ships_at_home_.erase(key);
+    guest_cv_.notify_one();
+  });
 }
 
-void WallClockEngine::served(size_t i, int w, VDur apply) { submit_window(i, w, apply); }
+void WallClockEngine::served(size_t i, int /*w*/, VDur apply) {
+  pool_->submit_home([this, shard = segment_shard(i), apply] { hold_stripe(shard, apply); });
+}
 
 void WallClockEngine::completed(size_t i, int w, VDur apply) {
   wall_completed_ms_[i] = ms_since(round_t0_);
-  submit_window(i, w, apply);
+  served(i, w, apply);
 }
 
-void WallClockEngine::run_guest(int w, VDur relay, GuestJob job) {
-  // Queued behind the worker's ship window, so the guest starts only once
-  // its state has arrived in wall time too.
+void WallClockEngine::run_guest(size_t i, int w, VDur relay, GuestJob job) {
+  // Only this segment's own ships to `w` gate the guest: once they have
+  // left home, the job queues behind their transfers on the lane, so it
+  // starts only after its state has landed in wall time too.
+  auto t0 = std::chrono::steady_clock::now();
+  {
+    MutexLock lk(guest_mu_);
+    while (ships_at_home_.count({i, w}) != 0) guest_cv_.wait(lk);
+  }
+  waits_.arrival_ms += ms_since(t0);
+
+  t0 = std::chrono::steady_clock::now();
   guest_live_ = true;
   pool_->submit(static_cast<size_t>(w), [this, relay, job] {
     sleep_scaled(opt_.dilation, relay);
@@ -158,6 +186,7 @@ void WallClockEngine::run_guest(int w, VDur relay, GuestJob job) {
   while (!guest_done_) guest_cv_.wait(lk);
   guest_done_ = false;
   guest_live_ = false;
+  waits_.guest_ms += ms_since(t0);
   if (guest_err_) std::rethrow_exception(std::exchange(guest_err_, nullptr));
 }
 

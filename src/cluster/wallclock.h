@@ -4,25 +4,33 @@
 // failure, checkpoint, speculation, autoscale and the event log are the
 // Scheduler's own code, run on the thread that called run().  What the
 // engine adds is *where real work runs* and how long it takes in wall time
-// (the Scheduler's executor seam):
+// (the Scheduler's executor seam), with only the dependencies the virtual
+// model has:
 //
-//   - ship: home's serialization window is served on the segment's home
-//     stripe, then the modelled transfer is slept — both as a job on the
-//     destination worker's ThreadPool lane;
-//   - guest code (the run, or each checkpoint chunk, of the current
+//   - home work: home's serialization window of a ship and its apply
+//     window of a write-back or checkpoint are *home jobs* on the pool's
+//     lane-less home queue — each holds the segment's home stripe for its
+//     dilated window, on whatever pool thread is free;
+//   - worker lanes (one ThreadPool lane per cluster worker) carry that
+//     worker's inbound link and its guest work: when a ship's serve window
+//     ends, its dilated transfer is slept on the destination's lane, and
+//     guest code (the run, or each checkpoint chunk, of the current
 //     segment, and the delivery of its upstream result after the relay
-//     sleep) runs as a job on that worker's lane while the loop waits;
-//   - the write-back and checkpoint apply windows are served on the
-//     segment's stripe as jobs on the worker's lane.
+//     sleep) runs as a lane job while the loop waits;
+//   - a guest job waits for its own attempt only: before queueing it, the
+//     loop waits until every ship of that (segment, worker) has left home,
+//     and the job then queues behind that ship's transfer on the lane.  It
+//     never waits for another segment's ship or for any apply window.
 //
 // In the paper's Fig. 1(c) the segments of one stack run strictly in stack
 // order: what overlaps is the ship/restore of lower segments with the
-// upper segment's execution.  So at most one lane ever runs guest code,
-// and only while the loop waits for it; every other lane job only holds a
-// stripe and sleeps.  The loop thread, or the one lane running guest code
-// while the loop waits, is therefore the only thread that ever touches
-// clocks, heaps or the log — no ordered home lock exists, and wall runs
-// match virtual runs bit for bit by construction, worker losses included.
+// upper segment's execution, and home absorbing write-backs on its side.
+// So at most one lane ever runs guest code, and only while the loop waits
+// for it; every other job only holds a stripe and sleeps.  The loop
+// thread, or the one lane running guest code while the loop waits, is
+// therefore the only thread that ever touches clocks, heaps or the log —
+// no ordered home lock exists, and wall runs match virtual runs bit for
+// bit by construction, worker losses included.
 //
 // Home stripes (one per HomeShardMap shard) serialize home *service
 // windows* in wall time: the ship and apply windows above, plus the object
@@ -43,7 +51,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/scheduler.h"
@@ -69,6 +79,13 @@ struct WallClockOptions : DispatchOptions {
   double home_dilation = -1.0;
 };
 
+/// Wall milliseconds the loop thread spent blocked, by what it waited for.
+struct WallLoopWaits {
+  double arrival_ms = 0;  ///< a guest's own ships leaving home
+  double guest_ms = 0;    ///< guest jobs queued and running on their lane
+  double drain_ms = 0;    ///< end of round: every outstanding window
+};
+
 /// A Scheduler whose guest work runs on ThreadPool lanes and whose
 /// transfers and home service windows take real (dilated) wall time.
 /// The engine is its own HomeGate: the running guest's object faults and
@@ -84,6 +101,9 @@ class WallClockEngine : public Scheduler, private mig::HomeGate {
   std::vector<mig::ShardContention> shard_contention() const;
   /// Sum over stripes (max fields folded with max).
   mig::ShardContention total_contention() const;
+  /// Where the loop thread's wall time went, summed over every run() so
+  /// far (read between runs).
+  const WallLoopWaits& loop_waits() const { return waits_; }
 
   /// Wall milliseconds from the last run()'s start to each segment's
   /// completion write-back, indexed by segment.
@@ -106,7 +126,7 @@ class WallClockEngine : public Scheduler, private mig::HomeGate {
   void begin_round(size_t segments) override;
   void end_round() override;
   void shipped(size_t i, int w, VDur serve, VDur transfer) override;
-  void run_guest(int w, VDur relay, GuestJob job) override;
+  void run_guest(size_t i, int w, VDur relay, GuestJob job) override;
   void served(size_t i, int w, VDur apply) override;
   void completed(size_t i, int w, VDur apply) override;
 
@@ -120,9 +140,10 @@ class WallClockEngine : public Scheduler, private mig::HomeGate {
   /// analysis cannot follow, so the pair opts out of it.
   void lock_stripe(int shard) SOD_NO_THREAD_SAFETY_ANALYSIS;
   void unlock_stripe(int shard) SOD_NO_THREAD_SAFETY_ANALYSIS;
-  /// Lane job: hold segment `i`'s stripe for the dilated `home_time`,
-  /// then sleep the dilated `transfer`.
-  void submit_window(size_t i, int w, VDur home_time, VDur transfer = {});
+  /// Stripe of segment `i` of the current round.
+  int segment_shard(size_t i) const;
+  /// Holds stripe `shard` for the dilated `home_time`.
+  void hold_stripe(int shard, VDur home_time);
 
   WallClockOptions opt_;
   mig::HomeShardMap shard_map_;
@@ -132,19 +153,24 @@ class WallClockEngine : public Scheduler, private mig::HomeGate {
   /// then do gate sections take stripes.  Written by the loop before the
   /// job is submitted and after it finished, so no lock is needed.
   bool guest_live_ = false;
-  /// Hand-back of a finished guest job to the waiting loop.
+  /// Hand-back to the waiting loop of a finished guest job, and of ships
+  /// leaving home.
   Mutex guest_mu_;
   std::condition_variable_any guest_cv_;
   bool guest_done_ SOD_GUARDED_BY(guest_mu_) = false;
   std::exception_ptr guest_err_ SOD_GUARDED_BY(guest_mu_);
+  /// Ships of (segment, worker) this round still in their serve window
+  /// (entries are erased at zero, so the map is empty between rounds).
+  std::map<std::pair<size_t, int>, int> ships_at_home_ SOD_GUARDED_BY(guest_mu_);
   /// Stripe held by the running guest's open gate section (-1 = none);
   /// a section never nests another.
   int guest_stripe_ = -1;
   std::chrono::steady_clock::time_point round_t0_{};
   std::vector<double> wall_completed_ms_;
   double last_round_wall_ms_ = 0;
-  /// Declared last: its destructor finishes queued lane jobs, which use
-  /// the stripes and the guest hand-back above.
+  WallLoopWaits waits_;
+  /// Declared last: its destructor finishes queued jobs, which use the
+  /// stripes and the hand-back above.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -1,11 +1,12 @@
 // Wall-clock engine: the ThreadPool runs lane jobs FIFO and cross-lane
-// jobs genuinely in parallel; the WallClockEngine reproduces the
+// and home jobs genuinely in parallel; the WallClockEngine reproduces the
 // virtual-time Scheduler bit for bit (application results, write-back
 // payload bytes, the full event log) on every Table I app at 1 and 4 pool
 // threads — also after a worker loss, with checkpoints, and with
-// speculation; and a stressed engine — membership churn between rounds
-// plus a mid-round worker loss — still executes every segment exactly
-// once.
+// speculation; a guest waits only for its own state, never for another
+// segment's ship or a checkpoint's apply window; and a stressed engine —
+// membership churn between rounds plus a mid-round worker loss — still
+// executes every segment exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,7 +42,6 @@ using std::chrono::steady_clock;
 
 TEST(ThreadPool, LaneJobsRunInSubmissionOrder) {
   ThreadPool pool(4);
-  pool.ensure_lane(1);
   std::vector<int> seen;
   for (int i = 0; i < 200; ++i)
     pool.submit(0, [i, &seen] { seen.push_back(i); });  // same lane: no racing writers
@@ -53,7 +53,6 @@ TEST(ThreadPool, LaneJobsRunInSubmissionOrder) {
 
 TEST(ThreadPool, LanesOverlapAcrossThreads) {
   ThreadPool pool(2);
-  pool.ensure_lane(2);
   auto t0 = steady_clock::now();
   for (size_t lane = 0; lane < 2; ++lane)
     pool.submit(lane, [] { std::this_thread::sleep_for(milliseconds(100)); });
@@ -66,7 +65,6 @@ TEST(ThreadPool, LanesOverlapAcrossThreads) {
 
 TEST(ThreadPool, SingleThreadStillDrainsEveryLane) {
   ThreadPool pool(1);
-  pool.ensure_lane(3);
   std::atomic<int> done{0};
   for (size_t lane = 0; lane < 3; ++lane)
     for (int j = 0; j < 5; ++j) pool.submit(lane, [&done] { ++done; });
@@ -76,7 +74,6 @@ TEST(ThreadPool, SingleThreadStillDrainsEveryLane) {
 
 TEST(ThreadPool, WaitIdleCoversJobsSubmittedByJobs) {
   ThreadPool pool(2);
-  pool.ensure_lane(2);
   std::atomic<int> done{0};
   pool.submit(0, [&] {
     ++done;
@@ -84,6 +81,48 @@ TEST(ThreadPool, WaitIdleCoversJobsSubmittedByJobs) {
   });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 2);
+}
+
+TEST(ThreadPool, HomeJobsOverlapEachOtherAndABusyLane) {
+  ThreadPool pool(3);
+  auto t0 = steady_clock::now();
+  pool.submit(0, [] { std::this_thread::sleep_for(milliseconds(100)); });
+  for (int j = 0; j < 2; ++j)
+    pool.submit_home([] { std::this_thread::sleep_for(milliseconds(100)); });
+  pool.wait_idle();
+  auto ms = std::chrono::duration_cast<milliseconds>(steady_clock::now() - t0).count();
+  // One lane job and two home jobs on three threads all overlap; any
+  // serialization would take >= 200 ms.
+  EXPECT_LT(ms, 190);
+}
+
+TEST(ThreadPool, WaitIdleCoversLaneJobsSubmittedByHomeJobs) {
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
+  pool.submit_home([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    ++done;
+    pool.submit(1, [&] {
+      std::this_thread::sleep_for(milliseconds(20));
+      ++done;
+    });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 2);
+}
+
+TEST(ThreadPool, SingleThreadDrainsLanesAndHomeJobs) {
+  ThreadPool pool(1);
+  std::atomic<int> done{0};
+  for (int j = 0; j < 5; ++j) {
+    for (size_t lane = 0; lane < 3; ++lane) pool.submit(lane, [&done] { ++done; });
+    pool.submit_home([&pool, &done] {
+      ++done;
+      pool.submit(2, [&done] { ++done; });
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 25);
 }
 
 // ------------------------------------------------------------ engine parity
@@ -106,6 +145,31 @@ struct AppOutcome {
   // fault-free run.
   std::vector<mig::ShardContention> shard_stats;
   uint64_t lock_acq = 0;
+  // Virtual run only: the home windows the seam reported for each segment
+  // of the last round, undilated — serve windows summed over its ships,
+  // and one apply window per checkpoint.
+  std::vector<VDur> serve;
+  std::vector<std::vector<VDur>> ckpt_apply;
+  // Wall engine only: last_completed_wall_ms().
+  std::vector<double> completed_wall_ms;
+};
+
+/// The virtual Scheduler, recording the home windows its executor seam
+/// reports (the WallClockEngine sleeps each of them x home_dilation).
+class WindowRecorder : public Scheduler {
+ public:
+  using Scheduler::Scheduler;
+  std::vector<VDur> serve;
+  std::vector<std::vector<VDur>> ckpt_apply;
+
+ private:
+  void begin_round(size_t segments) override {
+    serve.assign(segments, VDur{});
+    ckpt_apply.assign(segments, {});
+  }
+  void shipped(size_t i, int /*w*/, VDur s, VDur /*transfer*/) override { serve[i] += s; }
+  void served(size_t i, int /*w*/, VDur apply) override { ckpt_apply[i].push_back(apply); }
+  void completed(size_t /*i*/, int /*w*/, VDur /*apply*/) override {}
 };
 
 /// Dispatch options plus a worker-loss plan for run_app.
@@ -113,9 +177,15 @@ struct RunConfig {
   DispatchOptions dispatch{};
   int fail_after = -1;             ///< Scheduler::fail_after(n); -1 = none
   int fail_after_checkpoints = 0;  ///< Scheduler::fail_after_checkpoints(n); 0 = none
-  /// Two gigabit Xeons plus a 25x-slower wifi device instead of three
-  /// uniform workers (the speculation topology).
+  /// Two gigabit Xeons plus a 25x-slower wifi device instead of
+  /// `workers` uniform ones (the speculation topology).
   bool straggler = false;
+  int workers = 3;
+  PolicyKind policy = PolicyKind::LeastLoaded;
+  /// Segments per round; 0 = the CLI driver's split.
+  int segments = 0;
+  /// WallClockOptions::home_dilation of the wall engine.
+  double home_dilation = -1.0;
 };
 
 /// The run_table1_app round loop from the CLI driver, on either engine:
@@ -133,19 +203,23 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0,
     dev.cpu_scale = 25.0;
     c.add_worker({"wifi-device", dev, sim::Link::wifi_kbps(2000)});
   } else {
-    c.add_uniform_workers(3);
+    c.add_uniform_workers(rc.workers);
   }
   if (shards > 0) c.set_home_shards(shards);
-  auto pol = make_policy(PolicyKind::LeastLoaded);
+  auto pol = make_policy(rc.policy);
 
   std::unique_ptr<Scheduler> sched;
+  WindowRecorder* recorder = nullptr;
   WallClockEngine* engine = nullptr;
   if (threads < 0) {
-    sched = std::make_unique<Scheduler>(c, *pol, rc.dispatch);
+    auto r = std::make_unique<WindowRecorder>(c, *pol, rc.dispatch);
+    recorder = r.get();
+    sched = std::move(r);
   } else {
     WallClockOptions wopt;
     static_cast<DispatchOptions&>(wopt) = rc.dispatch;
     wopt.threads = threads;
+    wopt.home_dilation = rc.home_dilation;
     auto e = std::make_unique<WallClockEngine>(c, *pol, wopt);
     engine = e.get();
     sched = std::move(e);
@@ -162,6 +236,7 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0,
   while (remaining > 0 && mig::pause_at_depth(c.home(), tid, trigger, depth)) {
     int k = std::min(remaining, depth - 1);
     if (remaining > k) k = std::max(1, depth - 2);
+    if (rc.segments > 0) k = rc.segments;
     auto specs = split_top_frames(k);
     auto out = sched->run(tid, specs);
     c.home().ti().set_debug_enabled(false);
@@ -181,9 +256,14 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0,
   o.workers_lost = sched->workers_lost();
   o.checkpoints = sched->checkpoints();
   o.speculated = sched->speculations();
+  if (recorder) {
+    o.serve = recorder->serve;
+    o.ckpt_apply = recorder->ckpt_apply;
+  }
   if (engine) {
     o.shard_stats = engine->shard_contention();
     o.lock_acq = engine->total_contention().acquisitions;
+    o.completed_wall_ms = engine->last_completed_wall_ms();
   }
   return o;
 }
@@ -312,6 +392,102 @@ TEST(WallClock, ShardContentionCountersSumAcrossStripes) {
   // The stable hash spreads the three key domains over the stripes: a
   // 4-shard fib run must exercise more than one of them.
   EXPECT_GT(used, 1);
+}
+
+// ------------------------------------------------------- wall dependencies
+//
+// A guest waits for its own state only, as in the virtual model: never for
+// another segment's ship, nor for home absorbing a checkpoint.  Home
+// windows are amplified to tens of ms so the dependency, not scheduling
+// noise, sets the bound.
+
+/// Wall ms the engine sleeps for the virtual home window `v`.
+double wall_ms(VDur v, double home_dilation) { return v.ms() * home_dilation; }
+
+/// Fib on a small argument: guest work stays a few ms even under a
+/// sanitizer, far below the home windows.
+apps::AppSpec small_fib(int64_t n) {
+  apps::AppSpec app = apps::fib_app();
+  app.bench_args = {Value::of_i64(n)};
+  app.bench_expected = sod::testing::fib_ref(n);
+  return app;
+}
+
+TEST(WallClock, AGuestDoesNotWaitForAnotherSegmentsShipToItsWorker) {
+  // Round robin over two workers sends segments 0 and 2 to worker 0.
+  RunConfig rc;
+  rc.workers = 2;
+  rc.policy = PolicyKind::RoundRobin;
+  rc.segments = 3;
+  rc.home_dilation = 50000;
+  // Give the three serve windows three distinct stripes, so they overlap
+  // and only a false dependency can make segment 0 wait for segment 2.
+  int shards = 0;
+  for (int s = 2; s <= 16 && shards == 0; ++s) {
+    mig::HomeShardMap m(s);
+    std::set<int> stripes{m.shard_of_segment(0, 0), m.shard_of_segment(0, 1),
+                          m.shard_of_segment(0, 2)};
+    if (stripes.size() == 3) shards = s;
+  }
+  ASSERT_GT(shards, 0) << "no shard count in 2..16 gives the three segments distinct stripes";
+
+  const apps::AppSpec app = small_fib(16);
+  AppOutcome ref = run_app(app, -1, shards, rc);
+  ASSERT_TRUE(ref.done);
+  EXPECT_EQ(ref.result, app.bench_expected);
+  ASSERT_EQ(ref.serve.size(), 3u);
+  std::vector<int> worker_of(3, -1);
+  for (const auto& [kind, at, round, segment, worker, attempt] : ref.log)
+    if (kind == static_cast<int>(EventKind::SegmentDispatched)) worker_of[segment] = worker;
+  ASSERT_EQ(worker_of, (std::vector<int>{0, 1, 0}));
+  double serve0 = wall_ms(ref.serve[0], rc.home_dilation);
+  double serve2 = wall_ms(ref.serve[2], rc.home_dilation);
+  ASSERT_GE(serve0, 20.0);
+  ASSERT_GE(serve2, 40.0);
+
+  AppOutcome got = run_app(app, /*threads=*/4, shards, rc);
+  ASSERT_TRUE(got.done);
+  EXPECT_EQ(got.log, ref.log);
+  ASSERT_EQ(got.completed_wall_ms.size(), 3u);
+  // Segment 0 runs once its own state has landed; queued behind segment
+  // 2's ship it would complete no earlier than serve0 + serve2.
+  EXPECT_LT(got.completed_wall_ms[0], serve0 + serve2 / 2)
+      << "serve0 " << serve0 << " ms, serve2 " << serve2 << " ms";
+}
+
+TEST(WallClock, ASegmentDoesNotWaitForItsCheckpointApplies) {
+  RunConfig rc;
+  rc.workers = 1;
+  rc.segments = 1;
+  rc.dispatch.checkpoint_every = 2000;
+  rc.home_dilation = 15000;
+  const apps::AppSpec app = small_fib(16);
+  AppOutcome ref = run_app(app, -1, 0, rc);
+  ASSERT_TRUE(ref.done);
+  EXPECT_EQ(ref.result, app.bench_expected);
+  ASSERT_EQ(ref.ckpt_apply.size(), 1u);
+  const std::vector<VDur>& applies = ref.ckpt_apply[0];
+  ASSERT_GE(applies.size(), 4u);
+  double apply_sum = 0;
+  for (VDur a : applies) {
+    ASSERT_GE(wall_ms(a, rc.home_dilation), 20.0);
+    apply_sum += wall_ms(a, rc.home_dilation);
+  }
+  double serve0 = wall_ms(ref.serve[0], rc.home_dilation);
+
+  // Every apply window holds a pool thread while it waits for the
+  // segment's stripe, so give each one its own thread: the chunks must
+  // never queue behind them for a thread either.
+  AppOutcome got = run_app(app, static_cast<int>(applies.size()) + 2, 0, rc);
+  ASSERT_TRUE(got.done);
+  EXPECT_EQ(got.log, ref.log);
+  ASSERT_EQ(got.completed_wall_ms.size(), 1u);
+  // The chunks run back to back once the state has landed; behind each
+  // checkpoint's apply window the segment would complete no earlier than
+  // serve0 + the sum of them.
+  EXPECT_LT(got.completed_wall_ms[0], apply_sum / 2)
+      << applies.size() << " applies, " << apply_sum << " ms in all; serve0 " << serve0
+      << " ms";
 }
 
 // ------------------------------------------------------------------- stress
