@@ -45,7 +45,7 @@ int run(const cli::ScenarioOptions& opt) {
     dest.enable_class_fetch(&home, sim::Link::gigabit());
     VDur sent = home.node().clock.now();
     sim::deliver(home.node(), dest.node(), sim::Link::gigabit(),
-                 cs.wire_size() + p.class_image(top_cls).size());
+                 cs.wire_size() + p.class_image_size(top_cls));
     VDur xfer = dest.node().clock.now() - sent;
 
     VDur t2 = dest.node().clock.now();

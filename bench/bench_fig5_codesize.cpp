@@ -43,7 +43,7 @@ bc::Program geometry() {
 }
 
 size_t geometry_class_size(const bc::Program& p) {
-  return p.class_image(p.find_class("Geometry")).size();
+  return p.class_image_size(p.find_class("Geometry"));
 }
 
 int run(const cli::ScenarioOptions& opt) {

@@ -35,7 +35,8 @@ int run(const cli::ScenarioOptions& opt) {
           if (v.tag == bc::Ty::Ref && v.r != bc::kNull) roots.push_back(v.r);
       }
       if (!roots.empty()) F += home.vm().heap().graph_size(roots);
-      for (const auto& fr : home.vm().thread(tid).frames) F += fr.locals.size() * 8;
+      for (size_t i = 0; i < home.vm().thread(tid).frames.size(); ++i)
+        F += home.vm().frame_locals(tid, i).size() * 8;
     }
     home.ti().set_debug_enabled(false);
     t.row({spec.name, std::to_string(spec.paper_n), std::to_string(spec.paper_depth),

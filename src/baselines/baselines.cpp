@@ -7,7 +7,7 @@ namespace sod::baselines {
 using bc::Ref;
 using bc::Ty;
 using bc::Value;
-using svm::Frame;
+using svm::FrameImage;
 
 namespace {
 
@@ -15,8 +15,8 @@ namespace {
 /// frame plus all loaded ref statics.
 std::vector<Ref> heap_roots(SodNode& node, int tid) {
   std::vector<Ref> roots;
-  for (const Frame& f : node.vm().thread(tid).frames)
-    for (const Value& v : f.locals)
+  for (size_t i = 0; i < node.vm().thread(tid).frames.size(); ++i)
+    for (const Value& v : node.vm().frame_locals(tid, i))
       if (v.tag == Ty::Ref && v.r != bc::kNull) roots.push_back(v.r);
   const bc::Program& P = node.program();
   for (const auto& c : P.classes) {
@@ -169,23 +169,19 @@ EagerTiming process_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Lin
     for (auto& v : s.vals) v = remap(v);
     dest.vm().overwrite_statics(s.cls, std::move(s.vals));
   }
-  std::vector<Frame> frames;
+  std::vector<FrameImage> frames;
   frames.reserve(nframes);
+  size_t restored_locals = 0;
   for (auto& rf : raw) {
-    Frame f;
-    f.method = rf.method;
-    f.pc = rf.pc;
-    f.locals = std::move(rf.locals);
-    for (auto& v : f.locals) v = remap(v);
-    frames.push_back(std::move(f));
+    restored_locals += rf.locals.size();
+    for (auto& v : rf.locals) v = remap(v);
+    frames.push_back(FrameImage{rf.method, rf.pc, std::move(rf.locals)});
   }
   // Rebuilding frames rides the same debugger interface: SetLocal-grade
   // cost per local slot plus per-frame method re-entry.
-  size_t restored_locals = 0;
-  for (const auto& rf : raw) restored_locals += rf.locals.size();
   dest.node().charge_host(VDur::micros(30.0 * static_cast<double>(restored_locals) +
                                        60.0 * static_cast<double>(nframes)));
-  *out_tid = dest.vm().adopt_frames(std::move(frames));
+  *out_tid = dest.vm().adopt_frames(frames);
   dest.node().charge_host(dest.serde().cost(w.size(), static_cast<int>(map.size())));
   dest.sync_ti_cost();
   t.restore = dest.node().clock.now() - t2;
@@ -195,13 +191,14 @@ EagerTiming process_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Lin
 EagerTiming thread_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Link link,
                            int* out_tid, mig::ObjectManager* om) {
   EagerTiming t;
-  const auto& hframes = home.vm().thread(home_tid).frames;
+  svm::VM& hvm = home.vm();
+  const auto& hframes = hvm.thread(home_tid).frames;
   int depth = static_cast<int>(hframes.size());
 
   // --- capture: direct in-VM state access (no tool-interface tax) ---
   VDur t0 = home.node().clock.now();
   size_t locals = 0;
-  for (const Frame& f : hframes) locals += f.locals.size();
+  for (size_t i = 0; i < hframes.size(); ++i) locals += hvm.frame_locals(home_tid, i).size();
   // ~0.4 us per frame + ~0.05 us per local: raw pointer walks in the JVM.
   home.node().charge_host(VDur::micros(0.4 * depth + 0.05 * static_cast<double>(locals)));
   t.state_bytes = 32 * static_cast<size_t>(depth) + locals * 9 + 64;
@@ -217,16 +214,17 @@ EagerTiming thread_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Link
   VDur t2 = dest.node().clock.now();
   om->install(dest);
   om->bind_home(&home, home_tid, depth, link);
-  std::vector<Frame> frames;
+  std::vector<FrameImage> frames;
   frames.reserve(hframes.size());
   for (int i = 0; i < depth; ++i) {
-    const Frame& hf = hframes[static_cast<size_t>(i)];
-    Frame f;
+    const svm::Frame& hf = hframes[static_cast<size_t>(i)];
+    std::span<const Value> hlocals = hvm.frame_locals(home_tid, static_cast<size_t>(i));
+    FrameImage f;
     f.method = hf.method;
     f.pc = hf.pc;
-    f.locals.reserve(hf.locals.size());
-    for (size_t s = 0; s < hf.locals.size(); ++s) {
-      const Value& v = hf.locals[s];
+    f.locals.reserve(hlocals.size());
+    for (size_t s = 0; s < hlocals.size(); ++s) {
+      const Value& v = hlocals[s];
       if (v.tag == Ty::Ref && v.r != bc::kNull) {
         Ref stub = dest.vm().heap().alloc_stub(0);
         om->register_local_stub(stub, i, static_cast<uint16_t>(s));
@@ -251,7 +249,7 @@ EagerTiming thread_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Link
     }
     dest.vm().overwrite_statics(c.id, std::move(vals));
   }
-  *out_tid = dest.vm().adopt_frames(std::move(frames));
+  *out_tid = dest.vm().adopt_frames(frames);
   dest.node().charge_host(VDur::micros(0.5 * depth));
   // The distinguishing cost: allocate static arrays at class load.
   dest.node().charge_host(static_alloc_cost(home));

@@ -88,8 +88,23 @@ namespace {
 /// bad opcode or truncated instruction, leaving the rest "not an
 /// instruction start": malformed code panics when it is reached, as
 /// before, not when a VM is built on the program.
+/// Typed zero of local `slot`: the type of its last var_table entry, i64
+/// when the table does not name the slot.
+Ty local_type(const Method& m, uint16_t slot) {
+  Ty t = Ty::I64;
+  for (const auto& v : m.var_table)
+    if (v.slot == slot) t = v.type;
+  return t;
+}
+
 DecodedMethod decode_method(const Method& m) {
   DecodedMethod dm;
+  dm.owner = m.owner;
+  dm.num_params = static_cast<uint16_t>(m.params.size());
+  dm.num_locals = m.num_locals;
+  dm.max_stack = m.max_stack;
+  dm.zero_locals.assign(m.num_locals, Value::of_i64(0));
+  for (const auto& v : m.var_table) dm.zero_locals[v.slot] = Value::zero_of(v.type);
   dm.code = m.code;
   dm.stmt_starts = m.stmt_starts;
   dm.ops.resize(m.code.size());
@@ -121,8 +136,14 @@ DecodedProgram DecodedProgram::build(const Program& p) {
 bool DecodedProgram::matches(const Program& p) const {
   if (methods.size() != p.methods.size()) return false;
   for (size_t i = 0; i < methods.size(); ++i) {
-    if (methods[i].code != p.methods[i].code) return false;
-    if (methods[i].stmt_starts != p.methods[i].stmt_starts) return false;
+    const DecodedMethod& dm = methods[i];
+    const Method& m = p.methods[i];
+    if (dm.owner != m.owner || dm.num_params != m.params.size() ||
+        dm.num_locals != m.num_locals || dm.max_stack != m.max_stack)
+      return false;
+    if (dm.code != m.code || dm.stmt_starts != m.stmt_starts) return false;
+    for (uint16_t s = 0; s < m.num_locals; ++s)
+      if (!dm.zero_locals[s].same_as(Value::zero_of(local_type(m, s)))) return false;
   }
   return true;
 }
@@ -146,10 +167,6 @@ const Method& Program::method(uint16_t id) const {
 Method& Program::method_mut(uint16_t id) {
   SOD_CHECK(id < methods.size(), "bad method id");
   return methods[id];
-}
-const Field& Program::field(uint16_t id) const {
-  SOD_CHECK(id < fields.size(), "bad field id");
-  return fields[id];
 }
 
 namespace {
@@ -294,9 +311,38 @@ std::vector<uint8_t> Program::class_image(uint16_t class_id) const {
   return w.take();
 }
 
+namespace {
+
+// Byte counts of the write_* encodings above, kept in step with them (a
+// test compares class_image_size against class_image for real programs).
+size_t str_size(const std::string& s) { return 4 + s.size(); }
+
+size_t method_size(const Method& m) {
+  size_t n = 2 + 2 + str_size(m.name) + 2 + m.params.size() + 1 + 2 + 2 + 4 + m.code.size();
+  n += 2;
+  for (const auto& v : m.var_table) n += str_size(v.name) + 1 + 2;
+  n += 2 + m.ex_table.size() * (4 + 4 + 4 + 2);
+  n += 4 + m.stmt_starts.size() * 4;
+  return n;
+}
+
+size_t field_size(const Field& f) { return 2 + 2 + str_size(f.name) + 1 + 1 + 2; }
+
+}  // namespace
+
+size_t Program::class_image_size(uint16_t class_id) const {
+  const Class& c = cls(class_id);
+  size_t n = 2 + str_size(c.name) + 2 + 2 + 1;
+  n += 2;
+  for (uint16_t fid : c.field_ids) n += field_size(field(fid));
+  n += 2;
+  for (uint16_t mid : c.method_ids) n += method_size(method(mid));
+  return n;
+}
+
 size_t Program::total_image_size() const {
   size_t sz = 0;
-  for (const auto& c : classes) sz += class_image(c.id).size();
+  for (const auto& c : classes) sz += class_image_size(c.id);
   return sz;
 }
 

@@ -141,6 +141,16 @@ struct DecodedInstr {
 static_assert(sizeof(DecodedInstr) == 8, "dispatch entries must stay 8 bytes");
 
 struct DecodedMethod {
+  // Frame header: what INVOKE needs to push a frame without a
+  // Program::method call.
+  uint16_t owner = kNoId;
+  uint16_t num_params = 0;
+  uint16_t num_locals = 0;
+  uint16_t max_stack = 0;
+  /// Typed zero of every local (Ref slots null, untyped slots i64 0): a
+  /// pushed frame's non-parameter locals are copied from here.
+  std::vector<Value> zero_locals;
+
   std::vector<uint8_t> code;          ///< the code `ops` was decoded from
   std::vector<uint32_t> stmt_starts;  ///< the statement table behind kMsp
   std::vector<DecodedInstr> ops;      ///< one entry per code byte
@@ -154,8 +164,9 @@ struct DecodedProgram {
   std::vector<DecodedMethod> methods;
 
   static DecodedProgram build(const Program& p);
-  /// True while every method's code and statement table still equal the
-  /// ones this table was decoded from.
+  /// True while every method's code, statement table and frame header
+  /// (owner, parameter count, num_locals, max_stack, local types) still
+  /// equal the ones this table was built from.
   bool matches(const Program& p) const;
 };
 
@@ -169,7 +180,10 @@ class Program {
 
   const Class& cls(uint16_t id) const;
   const Method& method(uint16_t id) const;
-  const Field& field(uint16_t id) const;
+  const Field& field(uint16_t id) const {
+    SOD_CHECK(id < fields.size(), "bad field id");
+    return fields[id];
+  }
   Method& method_mut(uint16_t id);
 
   uint16_t find_class(std::string_view name) const;    ///< kNoId if absent
@@ -184,6 +198,8 @@ class Program {
   /// transfer costs in the experiments (cf. Fig. 5 class-file sizes and
   /// the Table VII class-transfer column).
   std::vector<uint8_t> class_image(uint16_t class_id) const;
+  /// class_image(class_id).size(), counted without building the bytes.
+  size_t class_image_size(uint16_t class_id) const;
 
   /// Total image size of all classes (whole-program code size).
   size_t total_image_size() const;

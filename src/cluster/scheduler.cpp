@@ -281,7 +281,7 @@ void Scheduler::dispatch(size_t i) {
   uint16_t entry_cls = home.program().method(cs.frames[0].method).owner;
   t.req.cls = entry_cls;
   t.req.state_bytes = cs.wire_size();
-  t.req.class_image_bytes = home.program().class_image(entry_cls).size();
+  t.req.class_image_bytes = home.program().class_image_size(entry_cls);
   t.req.msp_state_slots = c_->facts().class_msp_state_slots(entry_cls);
   int w = policy_->choose(*c_, t.req);
   SOD_CHECK(w >= 0 && w < c_->size(), "policy chose an invalid worker");
@@ -431,8 +431,8 @@ void Scheduler::prepare(size_t i) {
   Placement& pl = t.pl;
   mig::Segment& seg = *t.seg;
   mig::SodNode& dst = c_->worker(pl.worker);
-  // Re-bind the worker's objman.* natives to this segment: a later
-  // segment restored on the same worker overwrote them.
+  // Point the worker's objman.* natives at this segment's manager: a
+  // later segment restored on the same worker took them over.
   seg.objman().install(dst);
   if (i > 0) {
     const Task& up = tasks_[i - 1];
@@ -542,7 +542,7 @@ void Scheduler::run_attempts(size_t i) {
       continue;
     }
     // A checkpoint-triggered plan may have re-dispatched another task
-    // onto this worker; the new Segment's construction rebound the
+    // onto this worker; the new Segment's construction retargeted the
     // node's objman natives.  Re-claim them for the running attempt.
     t.seg->objman().install(c_->worker(t.pl.worker));
     if (opt_.speculate && !race.backup_live) {

@@ -72,41 +72,47 @@ CapturedState capture_segment(SodNode& home, int home_tid, SegmentSpec seg) {
 
 Segment::Segment(SodNode& dest) : dest_(&dest) {
   om_.install(dest);
+  dest.set_segment(this);
   install_cs_natives();
 }
 
 void Segment::install_cs_natives() {
+  if (dest_->natives_bound(SodNode::NativeGroup::Restore)) return;
+  // Bound once per node; each call reads the node's current segment, the
+  // one most recently constructed there.
+  SodNode* node = dest_;
+  auto cursor = [node]() -> const Cursor& {
+    const Segment* seg = node->segment();
+    SOD_CHECK(seg != nullptr && seg->cursor_.frame != nullptr, "cs read outside restoration");
+    return seg->cursor_;
+  };
   auto& reg = dest_->registry();
-  Cursor* cur = &cursor_;
-  reg.bind("cs.read_i64", [cur](svm::VM&, std::span<Value> a) {
-    SOD_CHECK(cur->frame, "cs read outside restoration");
-    return Value::of_i64(cur->frame->locals[static_cast<size_t>(a[0].i)].i);
+  reg.bind("cs.read_i64", [cursor](svm::VM&, std::span<Value> a) {
+    return Value::of_i64(cursor().frame->locals[static_cast<size_t>(a[0].i)].i);
   });
-  reg.bind("cs.read_f64", [cur](svm::VM&, std::span<Value> a) {
-    SOD_CHECK(cur->frame, "cs read outside restoration");
-    const Value& v = cur->frame->locals[static_cast<size_t>(a[0].i)];
+  reg.bind("cs.read_f64", [cursor](svm::VM&, std::span<Value> a) {
+    const Value& v = cursor().frame->locals[static_cast<size_t>(a[0].i)];
     return Value::of_f64(v.tag == bc::Ty::F64 ? v.d : 0.0);
   });
-  ObjectManager* om = &om_;
-  reg.bind("cs.read_ref", [cur, om](svm::VM& vm, std::span<Value> a) {
-    SOD_CHECK(cur->frame, "cs read outside restoration");
-    const Value& v = cur->frame->locals[static_cast<size_t>(a[0].i)];
+  reg.bind("cs.read_ref", [cursor, node](svm::VM& vm, std::span<Value> a) {
+    const Cursor& cur = cursor();
+    const Value& v = cur.frame->locals[static_cast<size_t>(a[0].i)];
     if (v.tag != bc::Ty::Ref || v.r == bc::kNull) return Value::null();
     // Checkpoint states carry real home ids: the stub resolves directly
     // against the home heap, no suspended-frame lookup needed.
-    if (cur->home_refs) return Value::of_ref(vm.heap().alloc_stub(v.r));
+    if (cur.home_refs) return Value::of_ref(vm.heap().alloc_stub(v.r));
     // Non-null at the home: materialize as a stub resolvable through the
     // suspended home frame (GetLocal).
     Ref stub = vm.heap().alloc_stub(0);
     const auto& frames = vm.thread(vm.native_tid()).frames;
-    om->register_local_stub(stub, static_cast<int>(frames.size()) - 1,
-                            static_cast<uint16_t>(a[0].i));
+    node->segment()->om_.register_local_stub(stub, static_cast<int>(frames.size()) - 1,
+                                             static_cast<uint16_t>(a[0].i));
     return Value::of_ref(stub);
   });
-  reg.bind("cs.read_pc", [cur](svm::VM&, std::span<Value>) {
-    SOD_CHECK(cur->frame, "cs read outside restoration");
-    return Value::of_i64(cur->frame->pc);
+  reg.bind("cs.read_pc", [cursor](svm::VM&, std::span<Value>) {
+    return Value::of_i64(cursor().frame->pc);
   });
+  dest_->mark_natives_bound(SodNode::NativeGroup::Restore);
 }
 
 void Segment::restore(const CapturedState& cs) {
@@ -921,7 +927,7 @@ OffloadOutcome offload_and_return(SodNode& home, int home_tid, int nframes, SodN
 
   // Transfer (state + the top frame's class image is pre-shipped).
   uint16_t top_cls = home.program().method(cs.frames.back().method).owner;
-  size_t ship = out.timing.state_bytes + home.program().class_image(top_cls).size();
+  size_t ship = out.timing.state_bytes + home.program().class_image_size(top_cls);
   dest.mark_class_shipped(top_cls);
   dest.enable_class_fetch(&home, link);
   VDur sent_at = home.node().clock.now();

@@ -48,12 +48,22 @@ void SodNode::sync_ti_cost() {
   }
 }
 
+bool SodNode::natives_bound(NativeGroup g) {
+  if (reg_.version() != natives_version_) bound_groups_ = 0;
+  return (bound_groups_ & static_cast<uint8_t>(g)) != 0;
+}
+
+void SodNode::mark_natives_bound(NativeGroup g) {
+  bound_groups_ |= static_cast<uint8_t>(g);
+  natives_version_ = reg_.version();
+}
+
 void SodNode::enable_class_fetch(SodNode* home, sim::Link link, HomeGate* gate) {
   vm_->on_class_load = [this, home, link, gate](svm::VM&, uint16_t cls) {
     GateSection section(gate, HomeShardMap::key_class(cls));
     if (class_shipped(cls)) return;
     shipped_.insert(cls);
-    size_t img = prog_->class_image(cls).size();
+    size_t img = prog_->class_image_size(cls);
     class_bytes_ += img;
     // Request/response round trip + home-side serialization cost.
     VDur before = node_.clock.now();

@@ -22,6 +22,9 @@
 
 namespace sod::mig {
 
+class ObjectManager;
+class Segment;
+
 class SodNode {
  public:
   struct Config {
@@ -74,6 +77,27 @@ class SodNode {
   /// served as a wall sleep holding only the class's stripe.
   void enable_class_fetch(SodNode* home, sim::Link link, HomeGate* gate = nullptr);
 
+  // --- sod-layer natives ---
+  // The objman.* and cs.* natives are bound once per node and call through
+  // the two pointers below, so switching which object manager or restoring
+  // segment a node serves (ObjectManager::install, Segment construction)
+  // is a pointer store.  Both are borrowed: the installer outlives its use.
+
+  /// Natives of one sod-layer group.
+  enum class NativeGroup : uint8_t { ObjMan = 1, Restore = 2 };
+  /// True if `g`'s natives are bound and nothing else was bound into the
+  /// registry since our last bind.  Any other bind (a test or benchmark
+  /// wrapping a native) may have replaced one of ours, so it makes every
+  /// group rebind on its next install, as if bound afresh.
+  bool natives_bound(NativeGroup g);
+  /// Record that `g`'s natives were just bound (after natives_bound(g)
+  /// returned false, with no other bind in between).
+  void mark_natives_bound(NativeGroup g);
+  ObjectManager* objman() const { return objman_; }
+  void set_objman(ObjectManager* om) { objman_ = om; }
+  Segment* segment() const { return segment_; }
+  void set_segment(Segment* seg) { segment_ = seg; }
+
  private:
   sim::Node node_;
   const bc::Program* prog_;
@@ -85,6 +109,10 @@ class SodNode {
   std::unordered_set<uint16_t> shipped_;
   size_t class_bytes_ = 0;
   VDur class_fetch_time_{};
+  ObjectManager* objman_ = nullptr;
+  Segment* segment_ = nullptr;
+  uint8_t bound_groups_ = 0;     ///< NativeGroup bits
+  uint64_t natives_version_ = 0;  ///< registry version after our last bind
 };
 
 }  // namespace sod::mig

@@ -8,44 +8,49 @@ using svm::VM;
 
 void ObjectManager::install(SodNode& worker) {
   worker_ = &worker;
+  worker.set_objman(this);
+  if (worker.natives_bound(SodNode::NativeGroup::ObjMan)) return;
+  // Bound once per node; each call serves the node's current manager.
+  SodNode* node = &worker;
   auto& reg = worker.registry();
-  reg.bind("objman.enter", [this](VM& vm, std::span<Value> a) {
-    enter(vm, a[0].i);
+  reg.bind("objman.enter", [node](VM& vm, std::span<Value> a) {
+    node->objman()->enter(vm, a[0].i);
     return Value{};
   });
-  reg.bind("objman.bring_local", [this](VM& vm, std::span<Value> a) {
-    bring_local(vm, a[0].i);
+  reg.bind("objman.bring_local", [node](VM& vm, std::span<Value> a) {
+    node->objman()->bring_local(vm, a[0].i);
     return Value{};
   });
-  reg.bind("objman.bring_static", [this](VM& vm, std::span<Value> a) {
-    bring_static(vm, a[0].i);
+  reg.bind("objman.bring_static", [node](VM& vm, std::span<Value> a) {
+    node->objman()->bring_static(vm, a[0].i);
     return Value{};
   });
-  reg.bind("objman.bring_field", [this](VM& vm, std::span<Value> a) {
-    bring_field(vm, a[0].r, a[1].i);
+  reg.bind("objman.bring_field", [node](VM& vm, std::span<Value> a) {
+    node->objman()->bring_field(vm, a[0].r, a[1].i);
     return Value{};
   });
-  reg.bind("objman.bring_elem", [this](VM& vm, std::span<Value> a) {
-    bring_elem(vm, a[0].r, a[1].i);
+  reg.bind("objman.bring_elem", [node](VM& vm, std::span<Value> a) {
+    node->objman()->bring_elem(vm, a[0].r, a[1].i);
     return Value{};
   });
   // Status-check baseline natives (Fig. 5 B1).
-  reg.bind("objman.bring_checked", [this](VM& vm, std::span<Value> a) {
+  reg.bind("objman.bring_checked", [node](VM& vm, std::span<Value> a) {
     if (a[0].r == bc::kNull) return Value{};
     const bc::Field& f = vm.program().field(static_cast<uint16_t>(a[1].i));
     vm.heap().obj(a[0].r).fields[f.slot] = Value::of_i64(1);
-    ++stats_.faults;
+    ++node->objman()->stats_.faults;
     return Value{};
   });
-  reg.bind("objman.bring_class_checked", [this](VM& vm, std::span<Value> a) {
+  reg.bind("objman.bring_class_checked", [node](VM& vm, std::span<Value> a) {
     const bc::Field& f = vm.program().field(static_cast<uint16_t>(a[0].i));
     uint16_t sfid = vm.program().find_field(vm.program().cls(f.owner).name + ".__sstatus");
     if (sfid != bc::kNoId) vm.set_static(sfid, Value::of_i64(1));
-    ++stats_.faults;
+    ++node->objman()->stats_.faults;
     return Value{};
   });
   reg.bind("objman.status_probe", [](VM&, std::span<Value>) { return Value::of_i64(1); });
   reg.bind("objman.bring_probe", [](VM&, std::span<Value>) { return Value{}; });
+  worker.mark_natives_bound(SodNode::NativeGroup::ObjMan);
 }
 
 void ObjectManager::bind_home(SodNode* home, int home_tid, int seg_len, sim::Link link) {
@@ -196,10 +201,9 @@ Ref ObjectManager::fetch(Ref home_ref) {
 }
 
 void ObjectManager::bring_local(VM& vm, int64_t slot) {
-  svm::Frame* f = vm.native_frame();
-  SOD_CHECK(f, "bring_local outside native dispatch");
-  SOD_CHECK(slot >= 0 && static_cast<size_t>(slot) < f->locals.size(), "bad bring_local slot");
-  Value& v = f->locals[static_cast<size_t>(slot)];
+  std::span<Value> locals = vm.native_locals();
+  SOD_CHECK(slot >= 0 && static_cast<size_t>(slot) < locals.size(), "bad bring_local slot");
+  Value& v = locals[static_cast<size_t>(slot)];
   if (v.tag != bc::Ty::Ref) return;
   // Present: non-null and not a remote stub.
   if (v.r != bc::kNull && !vm.heap().is_stub(v.r)) return;

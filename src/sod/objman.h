@@ -50,9 +50,10 @@ struct FaultStats {
 
 class ObjectManager {
  public:
-  /// Install objman.* natives into `worker`'s registry.  Standalone (no
-  /// home bound) the natives only implement application-NPE passthrough,
-  /// which is also the correct behaviour for never-migrated runs.
+  /// Make this manager the one `worker`'s objman.* natives serve (binding
+  /// them on the node's first install).  Standalone (no home bound) the
+  /// natives only implement application-NPE passthrough, which is also
+  /// the correct behaviour for never-migrated runs.
   void install(SodNode& worker);
 
   /// Bind to the home node whose thread `home_tid` holds the suspended

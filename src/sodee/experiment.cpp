@@ -52,7 +52,8 @@ size_t measure_F(SodNode& node, int tid) {
       if (v.tag == bc::Ty::Ref && v.r != bc::kNull) roots.push_back(v.r);
   }
   if (!roots.empty()) f += node.vm().heap().graph_size(roots);
-  for (const auto& fr : node.vm().thread(tid).frames) f += fr.locals.size() * 8;
+  for (size_t i = 0; i < node.vm().thread(tid).frames.size(); ++i)
+    f += node.vm().frame_locals(tid, i).size() * 8;
   return f;
 }
 
@@ -105,7 +106,7 @@ MeasuredApp measure_app(const AppSpec& spec) {
     m.sod.capture = home.node().clock.now() - t0;
 
     uint16_t top_cls = prog.method(cs.frames.back().method).owner;
-    size_t ship = m.sod.state_bytes + prog.class_image(top_cls).size();
+    size_t ship = m.sod.state_bytes + prog.class_image_size(top_cls);
     dest.mark_class_shipped(top_cls);
     dest.enable_class_fetch(&home, link);
     VDur sent = home.node().clock.now();

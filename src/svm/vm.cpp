@@ -1,6 +1,7 @@
 #include "svm/vm.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <string>
 
@@ -45,65 +46,58 @@ VM::VM(const Program& prog, const NativeRegistry* natives, Config cfg)
       (f.is_static ? r.static_types : r.inst_types)[f.slot] = f.type;
     }
   }
-  zero_locals_.resize(prog.methods.size());
+  native_fns_.assign(prog.natives.size(), nullptr);
 }
 
-const std::vector<Value>& VM::zero_locals(uint16_t method_id) {
-  ZeroLocals& z = zero_locals_[method_id];
-  if (!z.ready) {
-    const Method& m = prog_->method(method_id);
-    z.values.assign(m.num_locals, Value::of_i64(0));
-    for (const auto& v : m.var_table) z.values[v.slot] = Value::zero_of(v.type);
-    z.ready = true;
-  }
-  return z.values;
+namespace {
+/// Values a new stack starts with: room for a few frames of the usual
+/// handful of locals and operands before the first doubling.
+constexpr size_t kMinStack = 64;
+}  // namespace
+
+void VM::grow_stack(GuestThread& th, size_t need) {
+  size_t n = std::max(th.stack.size() * 2, kMinStack);
+  while (n < need) n *= 2;
+  th.stack.resize(n);
 }
 
-Frame VM::make_frame(uint16_t method_id) {
-  const Method& m = prog_->method(method_id);
-  Frame f;
-  if (!frame_pool_.empty()) {
-    f = std::move(frame_pool_.back());
-    frame_pool_.pop_back();
-  }
-  f.method = method_id;
-  f.pc = 0;
-  const auto& zero = zero_locals(method_id);
-  f.locals.assign(zero.begin(), zero.end());
-  f.ostack.clear();
-  f.ostack.reserve(m.max_stack);
-  return f;
-}
-
-void VM::pop_frame(GuestThread& th) {
-  frame_pool_.push_back(std::move(th.frames.back()));
-  th.frames.pop_back();
+void VM::finish(GuestThread& th, ThreadStatus status) {
+  th.status = status;
+  th.frames.clear();
+  spare_.push_back({std::move(th.frames), std::move(th.stack)});  // leaves both empty
 }
 
 int VM::spawn(uint16_t method_id, std::span<const Value> args) {
   const Method& m = prog_->method(method_id);
   SOD_CHECK(args.size() == m.params.size(), "spawn: arg count mismatch for " + m.name);
-  ensure_loaded(m.owner);
-  GuestThread th;
-  th.id = static_cast<int>(threads_.size());
-  Frame f = make_frame(method_id);
-  for (size_t i = 0; i < args.size(); ++i) {
+  for (size_t i = 0; i < args.size(); ++i)
     SOD_CHECK(args[i].tag == m.params[i], "spawn: arg type mismatch for " + m.name);
-    f.locals[i] = args[i];
-  }
-  th.frames.push_back(std::move(f));
-  threads_.push_back(std::move(th));
-  return threads_.back().id;
+  FrameImage entry{method_id, 0, decoded_->methods[method_id].zero_locals};
+  std::copy(args.begin(), args.end(), entry.locals.begin());
+  return adopt_frames({&entry, 1});
 }
 
-int VM::adopt_frames(std::vector<Frame> frames) {
+int VM::adopt_frames(std::span<const FrameImage> frames) {
   SOD_CHECK(!frames.empty(), "adopt_frames: empty stack");
-  for (const Frame& f : frames) ensure_loaded(prog_->method(f.method).owner);
-  GuestThread th;
-  th.id = static_cast<int>(threads_.size());
-  th.frames = std::move(frames);
-  threads_.push_back(std::move(th));
-  return threads_.back().id;
+  for (const FrameImage& f : frames) ensure_loaded(prog_->method(f.method).owner);
+  GuestThread& th = threads_.emplace_back();
+  th.id = static_cast<int>(threads_.size()) - 1;
+  if (!spare_.empty()) {  // storage a finished thread left behind
+    th.frames = std::move(spare_.back().frames);
+    th.stack = std::move(spare_.back().stack);
+    spare_.pop_back();
+  }
+  uint32_t base = 0;
+  for (const FrameImage& f : frames) {
+    const DecodedMethod& dm = decoded_->methods[f.method];
+    SOD_CHECK(f.locals.size() == dm.num_locals, "adopt_frames: locals size mismatch");
+    const size_t need = size_t{base} + dm.num_locals + dm.max_stack;
+    if (th.stack.size() < need) grow_stack(th, need);
+    std::copy(f.locals.begin(), f.locals.end(), th.stack.begin() + base);
+    th.frames.push_back(Frame{f.method, f.pc, base, base + dm.num_locals});
+    base += dm.num_locals;
+  }
+  return th.id;
 }
 
 GuestThread& VM::thread(int tid) {
@@ -129,9 +123,8 @@ Value VM::call(std::string_view qname, std::span<const Value> args) {
   return thread(tid).result;
 }
 
-void VM::ensure_loaded(uint16_t cls) {
+void VM::load_class(uint16_t cls) {
   ClassRT& r = rt_[cls];
-  if (r.loaded) return;
   r.loaded = true;
   r.statics.clear();
   r.statics.reserve(r.static_types.size());
@@ -188,6 +181,55 @@ Ref VM::intern_pool_string(uint16_t idx) {
   return r;
 }
 
+std::span<Value> VM::frame_locals(int tid, size_t idx) {
+  GuestThread& th = thread(tid);
+  SOD_CHECK(idx < th.frames.size(), "bad frame index");
+  const Frame& f = th.frames[idx];
+  return {th.stack.data() + f.base, decoded_->methods[f.method].num_locals};
+}
+
+void VM::pop_top_frame(int tid) {
+  GuestThread& th = thread(tid);
+  SOD_CHECK(!th.frames.empty(), "pop_frame on empty stack");
+  th.frames.pop_back();
+}
+
+void VM::early_return(int tid, Value v) {
+  GuestThread& th = thread(tid);
+  SOD_CHECK(!th.frames.empty(), "force_early_return on empty stack");
+  const Method& m = prog_->method(th.frames.back().method);
+  th.frames.pop_back();
+  if (th.frames.empty()) {
+    th.result = v;
+    finish(th, ThreadStatus::Done);
+    return;
+  }
+  if (m.ret != Ty::Void) {
+    SOD_CHECK(v.tag == m.ret, "force_early_return type mismatch");
+    // The slot is the callee's old base: inside the stack, and inside the
+    // caller's verified max_stack (the INVOKE's result lands there).
+    Frame& caller = th.frames.back();
+    th.stack[caller.sp++] = v;
+  }
+}
+
+std::span<Value> VM::native_locals() {
+  SOD_CHECK(native_frame_ != nullptr, "native_locals outside native dispatch");
+  GuestThread& th = threads_[static_cast<size_t>(native_tid_)];
+  return {th.stack.data() + native_frame_->base,
+          decoded_->methods[native_frame_->method].num_locals};
+}
+
+const NativeFn& VM::native_fn(uint16_t idx) {
+  const NativeFn*& fn = native_fns_[idx];
+  if (fn == nullptr) {
+    const std::string& name = prog_->natives[idx].name;
+    fn = natives_ ? natives_->find(name) : nullptr;
+    SOD_CHECK(fn, "unbound native: " + name);
+  }
+  return *fn;
+}
+
 bool VM::dispatch_exception(GuestThread& th, Ref ex, uint32_t throw_pc) {
   uint16_t ex_cls = heap_.obj(ex).cls;
   uint32_t look = throw_pc;
@@ -197,21 +239,23 @@ bool VM::dispatch_exception(GuestThread& th, Ref ex, uint32_t throw_pc) {
     for (const auto& e : m.ex_table) {
       if (look >= e.from_pc && look < e.to_pc &&
           (e.ex_class == bc::kAnyClass || e.ex_class == ex_cls)) {
-        f.ostack.clear();
-        f.ostack.push_back(Value::of_ref(ex));
+        const DecodedMethod& dm = decoded_->methods[f.method];
+        SOD_CHECK(dm.max_stack >= 1, "exception handler without operand room in " + m.name);
+        f.sp = f.base + dm.num_locals;
+        th.stack[f.sp++] = Value::of_ref(ex);
         f.pc = e.handler_pc;
         return true;
       }
     }
-    pop_frame(th);
+    th.frames.pop_back();
     if (!th.frames.empty()) {
       // Caller's pc is the return address; the INVOKE instruction that is
       // conceptually "throwing" sits just before it.
       look = th.frames.back().pc - 1;
     }
   }
-  th.status = ThreadStatus::Crashed;
   th.uncaught = ex;
+  finish(th, ThreadStatus::Crashed);
   return false;
 }
 
@@ -232,54 +276,50 @@ RunResult VM::run(int tid, uint64_t budget) {
 
 // Dispatch plumbing shared by both interpreter modes.  Handlers are written
 // once; VM_LABEL expands to a goto label (direct-threaded) or a case label
-// (switch loop), and every handler ends in VM_NEXT()/VM_JUMP() instead of
-// falling through.  Frame-changing ops (INVOKE, RETURN..., THROW, pending
-// exceptions) always re-enter through vm_top, which runs the full prologue:
-// budget, pause/breakpoint/safepoint checks, and frame re-seating.  The fast
-// path between straight-line instructions skips all of that and only
-// re-checks the flags that could have been set by the handler itself.
-// Both paths read the pre-decoded entry at the byte pc; a pc past the code
-// or inside an instruction lands on vm_bad_pc.
+// (switch loop), and every handler ends in VM_NEXT()/VM_JUMP(), which run
+// the fast prologue: re-check only what a handler can change (budget,
+// pause request, debug mode) and dispatch the pre-decoded entry at the new
+// pc.  An exhausted budget or a pause request writes the top frame's pc
+// and sp back and goes to vm_top, the full prologue that also re-seats the
+// registers from the thread (on entry and after an exception).  Debug mode
+// goes to vm_check for the breakpoint and safepoint checks, which write
+// the registers back only when they stop.  INVOKE and RETURN re-seat the
+// registers themselves.  A pc past the code or inside an instruction lands
+// on vm_bad_pc.
 #if SOD_COMPUTED_GOTO
 #define VM_LABEL(name) h_##name
-#define VM_DISPATCH_FAST()                                        \
-  do {                                                            \
-    if (executed >= budget || pause_req_ || debug_) goto vm_top;  \
-    if (pc >= ncode) goto vm_bad_pc;                              \
-    in = ops[pc];                                                 \
-    next = pc + in.size;                                          \
-    ++executed;                                                   \
-    ++instrs_;                                                    \
-    goto* kJump[static_cast<size_t>(in.op)];                      \
-  } while (0)
-#define VM_NEXT()          \
-  do {                     \
-    pc = next;             \
-    f->pc = pc;            \
-    VM_DISPATCH_FAST();    \
-  } while (0)
-#define VM_JUMP(target)    \
-  do {                     \
-    pc = (target);         \
-    f->pc = pc;            \
-    VM_DISPATCH_FAST();    \
-  } while (0)
+#define VM_DISPATCH() goto* kJump[static_cast<size_t>(in.op)]
 #else
 #define VM_LABEL(name) case Op::name
-#define VM_NEXT()   \
-  do {              \
-    f->pc = next;   \
-    goto vm_top;    \
-  } while (0)
-#define VM_JUMP(target)  \
-  do {                   \
-    f->pc = (target);    \
-    goto vm_top;         \
-  } while (0)
+#define VM_DISPATCH() goto vm_switch
 #endif
+#define VM_FAST()                           \
+  do {                                      \
+    if (executed >= budget || pause_req_) { \
+      VM_SAVE();                            \
+      goto vm_top;                          \
+    }                                       \
+    if (debug_) goto vm_check;              \
+    if (pc >= ncode) goto vm_bad_pc;        \
+    in = ops[pc];                           \
+    next = pc + in.size;                    \
+    ++executed;                             \
+    VM_DISPATCH();                          \
+  } while (0)
+#define VM_NEXT() \
+  do {            \
+    pc = next;    \
+    VM_FAST();    \
+  } while (0)
+#define VM_JUMP(target) \
+  do {                  \
+    pc = (target);      \
+    VM_FAST();          \
+  } while (0)
 
 RunResult VM::loop(GuestThread& th, uint64_t budget) {
   uint64_t executed = 0;
+  uint64_t counted = 0;  // part of `executed` already added to instrs_
   const Program& P = *prog_;
 
   Frame* f = nullptr;
@@ -290,13 +330,53 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
   uint32_t pc = 0;
   uint32_t next = 0;
   DecodedInstr in{};
+  Value* stk = nullptr;     // th.stack.data()
+  Value* locals = nullptr;  // stk + f->base
+  Value* sp = nullptr;      // next free operand slot of the top frame
+#ifndef NDEBUG
+  // The top frame's operand area, [locals + num_locals, + max_stack).
+  const Value* op_lo = nullptr;
+  const Value* op_hi = nullptr;
+#define VM_BOUNDS() (op_lo = locals + dm->num_locals, op_hi = op_lo + dm->max_stack)
+#else
+#define VM_BOUNDS() ((void)0)
+#endif
 
-  auto push = [&](Value v) { f->ostack.push_back(v); };
-  auto pop = [&]() {
-    Value v = f->ostack.back();
-    f->ostack.pop_back();
-    return v;
+  auto push = [&](Value v) {
+    assert(sp < op_hi && "operand push beyond max_stack");
+    *sp++ = v;
   };
+  auto pop = [&]() {
+    assert(sp > op_lo && "operand pop below the frame's locals");
+    return *--sp;
+  };
+
+  // VM_SAVE writes the top frame's registers back, before anything can
+  // observe the frame; VM_COUNT adds the instructions run since the last
+  // count to instrs_.
+#define VM_SAVE()                            \
+  do {                                       \
+    f->pc = pc;                              \
+    f->sp = static_cast<uint32_t>(sp - stk); \
+  } while (0)
+#define VM_COUNT()                 \
+  do {                             \
+    instrs_ += executed - counted; \
+    counted = executed;            \
+  } while (0)
+#define VM_STOP(reason)                    \
+  do {                                     \
+    VM_COUNT();                            \
+    return {StopReason::reason, executed}; \
+  } while (0)
+  // Point the code registers at `f`'s method.
+#define VM_SEAT_CODE()                             \
+  do {                                             \
+    dm = &decoded_->methods[f->method];            \
+    ops = dm->ops.data();                          \
+    code = dm->code.data();                        \
+    ncode = static_cast<uint32_t>(dm->ops.size()); \
+  } while (0)
 
 #define THROW_GUEST(cls, msg)            \
   do {                                   \
@@ -328,41 +408,47 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
 #endif
 
 vm_top:
-  if (executed >= budget) return {StopReason::Budget, executed};
+  // Full prologue.  The top frame's pc and sp are in memory here.
+  if (executed >= budget) VM_STOP(Budget);
   if (th.frames.empty()) goto vm_done;
 
   f = &th.frames.back();
   SOD_CHECK(f->method < decoded_->methods.size(), "bad method id");
-  dm = &decoded_->methods[f->method];
-  ops = dm->ops.data();
-  code = dm->code.data();
-  ncode = static_cast<uint32_t>(dm->ops.size());
+  VM_SEAT_CODE();
   pc = f->pc;
+  stk = th.stack.data();
+  locals = stk + f->base;
+  sp = stk + f->sp;
+  VM_BOUNDS();
 
   if (pause_req_) {
     pause_req_ = false;
-    return {StopReason::Trap, executed};
+    VM_STOP(Trap);
   }
+
+vm_check:
+  // Debug-mode checks before every instruction, on the seated registers.
   if (pc >= ncode) goto vm_bad_pc;
   in = ops[pc];
   if (debug_) {
     if (!th.resume_skip_bp && !bps_.empty() && bps_.count(bp_key(f->method, pc))) {
       th.resume_skip_bp = true;
-      return {StopReason::Breakpoint, executed};
+      VM_SAVE();
+      VM_STOP(Breakpoint);
     }
     th.resume_skip_bp = false;
-    if (safepoint_req_ && (in.flags & DecodedInstr::kMsp) && f->ostack.empty()) {
-      return {StopReason::SafePoint, executed};
+    if (safepoint_req_ && (in.flags & DecodedInstr::kMsp) && sp == locals + dm->num_locals) {
+      VM_SAVE();
+      VM_STOP(SafePoint);
     }
   }
 
   next = pc + in.size;
   ++executed;
-  ++instrs_;
+  VM_DISPATCH();
 
-#if SOD_COMPUTED_GOTO
-  goto* kJump[static_cast<size_t>(in.op)];
-#else
+#if !SOD_COMPUTED_GOTO
+vm_switch:
   switch (in.op) {
 #endif
 
@@ -385,14 +471,22 @@ vm_top:
 
   VM_LABEL(ILOAD) :
   VM_LABEL(DLOAD) :
-  VM_LABEL(ALOAD) : push(f->locals[in.arg]); VM_NEXT();
+  VM_LABEL(ALOAD) : push(locals[in.arg]); VM_NEXT();
   VM_LABEL(ISTORE) :
   VM_LABEL(DSTORE) :
-  VM_LABEL(ASTORE) : f->locals[in.arg] = pop(); VM_NEXT();
+  VM_LABEL(ASTORE) : locals[in.arg] = pop(); VM_NEXT();
 
-  VM_LABEL(POP) : f->ostack.pop_back(); VM_NEXT();
-  VM_LABEL(DUP) : push(f->ostack.back()); VM_NEXT();
-  VM_LABEL(SWAP) : std::swap(f->ostack[f->ostack.size() - 1], f->ostack[f->ostack.size() - 2]); VM_NEXT();
+  VM_LABEL(POP) : pop(); VM_NEXT();
+  VM_LABEL(DUP) : {
+    assert(sp > op_lo && "dup of an empty operand stack");
+    push(sp[-1]);
+    VM_NEXT();
+  }
+  VM_LABEL(SWAP) : {
+    assert(sp - 2 >= op_lo && "swap needs two operands");
+    std::swap(sp[-1], sp[-2]);
+    VM_NEXT();
+  }
 
   VM_LABEL(IADD) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a + b)); VM_NEXT(); }
   VM_LABEL(ISUB) : { int64_t b = pop().i, a = pop().i; push(Value::of_i64(a - b)); VM_NEXT(); }
@@ -588,46 +682,55 @@ vm_top:
   }
 
   VM_LABEL(INVOKE) : {
-    uint16_t mid = static_cast<uint16_t>(in.arg);
-    const Method& callee = P.method(mid);
-    SOD_CHECK(!callee.code.empty(), "invoke of bodyless method " + callee.name);
+    const uint16_t mid = static_cast<uint16_t>(in.arg);
+    SOD_CHECK(mid < decoded_->methods.size(), "bad method id");
+    const DecodedMethod& callee = decoded_->methods[mid];
+    if (callee.code.empty()) SOD_UNREACHABLE("invoke of bodyless method " + P.method(mid).name);
     if (th.frames.size() >= cfg_.max_frames)
-      SOD_UNREACHABLE("guest stack overflow in " + callee.name);
+      SOD_UNREACHABLE("guest stack overflow in " + P.method(mid).name);
     ensure_loaded(callee.owner);
+    // The arguments on top of the caller's operands become the callee's
+    // first locals in place; the caller resumes with them popped.
+    assert(sp - callee.num_params >= op_lo && "invoke arguments missing");
+    const auto base = static_cast<uint32_t>(sp - stk) - callee.num_params;
     f->pc = next;  // return address
-    Frame nf = make_frame(mid);
-    for (size_t i = callee.params.size(); i-- > 0;) {
-      nf.locals[i] = f->ostack.back();
-      f->ostack.pop_back();
+    f->sp = base;
+    const size_t need = size_t{base} + callee.num_locals + callee.max_stack;
+    if (need > th.stack.size()) {
+      grow_stack(th, need);
+      stk = th.stack.data();
     }
-    th.frames.push_back(std::move(nf));
-    goto vm_top;
+    locals = stk + base;
+    std::copy(callee.zero_locals.begin() + callee.num_params, callee.zero_locals.end(),
+              locals + callee.num_params);
+    sp = locals + callee.num_locals;
+    f = &th.frames.emplace_back(Frame{mid, 0, base, base + callee.num_locals});
+    VM_SEAT_CODE();
+    VM_BOUNDS();
+    VM_JUMP(0);
   }
 
   VM_LABEL(INVOKENATIVE) : {
     const bc::NativeDecl& nd = P.natives[in.arg];
-    const NativeFn* fn = natives_ ? natives_->find(nd.name) : nullptr;
-    SOD_CHECK(fn, "unbound native: " + nd.name);
-    size_t np = nd.params.size();
-    std::vector<Value> args(np);
-    for (size_t i = np; i-- > 0;) {
-      args[i] = f->ostack.back();
-      f->ostack.pop_back();
-    }
+    const NativeFn& fn = native_fn(static_cast<uint16_t>(in.arg));
+    const size_t np = nd.params.size();
+    assert(sp - np >= op_lo && "native arguments missing");
+    sp -= np;
+    // The native sees its arguments in place and the frame without them.
+    VM_SAVE();
+    VM_COUNT();
     native_frame_ = f;
     native_tid_ = th.id;
-    Value ret = (*fn)(*this, args);
+    Value ret = fn(*this, std::span<Value>(sp, np));
     native_frame_ = nullptr;
     native_tid_ = -1;
     if (pending_) goto handle_pending;
     if (nd.ret != Ty::Void) {
       SOD_CHECK(ret.tag == nd.ret, "native returned wrong type: " + nd.name);
-      // Re-acquire the frame: the native may have grown this thread's
-      // heap but frames vector is stable (natives cannot push frames).
-      th.frames.back().ostack.push_back(ret);
+      // Natives cannot push frames, so the stack and frame are unmoved.
+      push(ret);
     }
-    f->pc = next;
-    goto vm_top;
+    VM_NEXT();
   }
 
   VM_LABEL(RETURN) :
@@ -635,23 +738,31 @@ vm_top:
   VM_LABEL(DRETURN) :
   VM_LABEL(ARETURN) : {
     Value rv{};
-    bool has = in.op != Op::RETURN;
+    const bool has = in.op != Op::RETURN;
     if (has) rv = pop();
-    pop_frame(th);
+    th.frames.pop_back();
     if (th.frames.empty()) {
-      th.status = ThreadStatus::Done;
       th.result = rv;
-      return {StopReason::Done, executed};
+      finish(th, ThreadStatus::Done);
+      VM_STOP(Done);
     }
-    if (has) th.frames.back().ostack.push_back(rv);
-    goto vm_top;
+    // The caller's sp is the callee's base: popping truncates the stack.
+    f = &th.frames.back();
+    VM_SEAT_CODE();
+    locals = stk + f->base;
+    sp = stk + f->sp;
+    VM_BOUNDS();
+    if (has) push(rv);
+    VM_JUMP(f->pc);
   }
 
   VM_LABEL(THROW) : {
     Ref ex = pop().r;
     if (ex == bc::kNull || heap_.is_stub(ex))
       THROW_GUEST(bc::builtin::kNullPointer, "throw null");
-    if (!dispatch_exception(th, ex, pc)) return {StopReason::Crashed, executed};
+    VM_SAVE();
+    VM_COUNT();
+    if (!dispatch_exception(th, ex, pc)) VM_STOP(Crashed);
     goto vm_top;
   }
 
@@ -674,23 +785,29 @@ vm_bad_pc: {
 handle_pending: {
   SOD_CHECK(pending_, "handle_pending without pending exception");
   pending_ = false;
+  VM_SAVE();
+  VM_COUNT();
   Ref ex = make_exception(pending_cls_, pending_msg_);
-  Frame& hf = th.frames.back();
-  if (!dispatch_exception(th, ex, hf.pc)) return {StopReason::Crashed, executed};
+  if (!dispatch_exception(th, ex, pc)) VM_STOP(Crashed);
   goto vm_top;
 }
 
+vm_done:
+  finish(th, ThreadStatus::Done);
+  VM_COUNT();
+  return {StopReason::Done, 0};
+
 #undef THROW_GUEST
+#undef VM_SEAT_CODE
+#undef VM_STOP
+#undef VM_COUNT
+#undef VM_SAVE
+#undef VM_BOUNDS
 #undef VM_LABEL
+#undef VM_DISPATCH
+#undef VM_FAST
 #undef VM_NEXT
 #undef VM_JUMP
-#if SOD_COMPUTED_GOTO
-#undef VM_DISPATCH_FAST
-#endif
-
-vm_done:
-  th.status = ThreadStatus::Done;
-  return {StopReason::Done, 0};
 }
 
 }  // namespace sod::svm

@@ -16,12 +16,22 @@
 //
 // Hot path.  Code is decoded once per program, not per instruction: every
 // VM on a Program holds the same immutable bc::DecodedProgram (8-byte
-// entries indexed by byte pc, with an MSP flag) and dispatches from it
-// without a lock.  A VM takes the table when it is built, from
-// Program::decoded(), which rebuilds it if the code was rewritten since;
-// a running VM keeps the table it started with.  Calls do not allocate:
-// popped frames go to a per-VM pool, and a pushed frame reuses a pooled
-// frame's vectors, refilled from the method's typed zero locals.
+// entries indexed by byte pc, with an MSP flag, plus each method's frame
+// header and typed zero locals) and dispatches from it without a lock.  A
+// VM takes the table when it is built, from Program::decoded(), which
+// rebuilds it if the code was rewritten since; a running VM keeps the
+// table it started with.
+//
+// Each guest thread owns one contiguous value stack; a Frame is a view
+// {method, pc, base, sp} onto it.  A frame's locals sit at [base, base +
+// num_locals) and its operands above them.  INVOKE makes the caller's
+// pushed arguments the callee's first locals in place, fills the rest
+// from the method's zero template and checks capacity once (base +
+// num_locals + max_stack, growing the stack if needed); RETURN truncates
+// to the callee's base and pushes the result.  Operand pushes are not
+// checked in release builds: the verifier's max_stack bounds them (builds
+// without NDEBUG assert it).  A finished thread hands its stack back to the
+// VM for the next spawn.
 #pragma once
 
 #include <cstdint>
@@ -50,23 +60,46 @@ using NativeFn = std::function<Value(VM&, std::span<Value>)>;
 
 class NativeRegistry {
  public:
-  void bind(std::string name, NativeFn fn) { fns_[std::move(name)] = std::move(fn); }
+  void bind(std::string name, NativeFn fn) {
+    fns_[std::move(name)] = std::move(fn);
+    ++version_;
+  }
+  /// The function bound to `name`.  The pointer stays valid, and sees
+  /// later binds of the same name, for the registry's lifetime: a VM looks
+  /// each native up once and keeps the pointer.
   const NativeFn* find(const std::string& name) const {
     auto it = fns_.find(name);
     return it == fns_.end() ? nullptr : &it->second;
   }
+  /// Number of bind() calls so far: a holder of bindings can tell whether
+  /// anything was bound after its own.
+  uint64_t version() const { return version_; }
 
  private:
   std::unordered_map<std::string, NativeFn> fns_;
+  uint64_t version_ = 0;
 };
 
+/// One activation: a view onto its thread's value stack.  Locals are
+/// stack[base, base + num_locals), operands stack[base + num_locals, sp).
+/// While the interpreter runs, the top frame's pc and sp live in
+/// registers; they are written back before anything can observe them
+/// (natives, exceptions, and every stop).
 struct Frame {
   uint16_t method = 0;
   /// Next instruction to execute; for non-top frames this is the return
   /// address (just past the INVOKE).
   uint32_t pc = 0;
+  uint32_t base = 0;
+  uint32_t sp = 0;
+};
+
+/// A frame handed to VM::adopt_frames: method, pc and its locals (the
+/// operand stack starts empty).
+struct FrameImage {
+  uint16_t method = 0;
+  uint32_t pc = 0;
   std::vector<Value> locals;
-  std::vector<Value> ostack;
 };
 
 enum class ThreadStatus : uint8_t { Ready, Done, Crashed };
@@ -74,7 +107,8 @@ enum class ThreadStatus : uint8_t { Ready, Done, Crashed };
 struct GuestThread {
   int id = 0;
   ThreadStatus status = ThreadStatus::Ready;
-  std::vector<Frame> frames;
+  std::vector<Frame> frames;  ///< bottom frame first
+  std::vector<Value> stack;   ///< every frame's locals and operands
   Value result{};        ///< bottom-frame return value (when Done)
   Ref uncaught = bc::kNull;  ///< uncaught exception (when Crashed)
   bool resume_skip_bp = false;  ///< skip the breakpoint we just paused on
@@ -106,12 +140,22 @@ class VM {
   /// Create a guest thread entering `method_id` with `args`; returns tid.
   int spawn(uint16_t method_id, std::span<const Value> args);
 
-  /// Adopt a fully materialized stack (eager-copy migration restore path:
-  /// process/thread migration rebuild exact frames instead of going
-  /// through the breakpoint + restoration-handler protocol).
-  int adopt_frames(std::vector<Frame> frames);
+  /// Adopt a fully materialized stack, bottom frame first (eager-copy
+  /// migration restore path: process/thread migration rebuild exact frames
+  /// instead of going through the breakpoint + restoration-handler
+  /// protocol).
+  int adopt_frames(std::span<const FrameImage> frames);
   GuestThread& thread(int tid);
   const GuestThread& thread(int tid) const;
+
+  /// Locals of frame `idx` of thread `tid` (0 = bottom frame).
+  std::span<Value> frame_locals(int tid, size_t idx);
+  /// Pop `tid`'s top frame without completing its call (JVMTI PopFrame).
+  void pop_top_frame(int tid);
+  /// Pop `tid`'s top frame and complete the caller's pending INVOKE with
+  /// `v` (JVMTI ForceEarlyReturn); popping the last frame finishes the
+  /// thread with result `v`.
+  void early_return(int tid, Value v);
 
   /// Interpret until the thread finishes, crashes, pauses, or the
   /// instruction budget runs out.
@@ -142,7 +186,9 @@ class VM {
 
   // --- classes & statics ---
   bool class_loaded(uint16_t cls) const { return rt_[cls].loaded; }
-  void ensure_loaded(uint16_t cls);
+  void ensure_loaded(uint16_t cls) {
+    if (!rt_[cls].loaded) load_class(cls);
+  }
   Value get_static(uint16_t field_id);
   void set_static(uint16_t field_id, Value v);
   std::span<const Value> statics_of(uint16_t cls) const { return rt_[cls].statics; }
@@ -171,10 +217,10 @@ class VM {
   /// Fired when a class is lazily loaded (CLASS_FILE_LOAD_HOOK analog).
   std::function<void(VM&, uint16_t cls)> on_class_load;
 
-  /// Frame executing the currently running native (valid only during an
-  /// INVOKENATIVE dispatch).  Object-fault natives use this to repair the
-  /// faulting frame's locals in place.
-  Frame* native_frame() { return native_frame_; }
+  /// Locals of the frame executing the currently running native (valid
+  /// only during an INVOKENATIVE dispatch).  Object-fault natives use this
+  /// to repair the faulting frame's locals in place.
+  std::span<Value> native_locals();
   /// Thread running the current native.
   int native_tid() const { return native_tid_; }
 
@@ -190,12 +236,14 @@ class VM {
     return (static_cast<uint64_t>(m) << 32) | pc;
   }
 
-  /// Typed zero value of every local of `method_id` (Ref slots null).
-  const std::vector<Value>& zero_locals(uint16_t method_id);
-  /// A fresh frame for `method_id`, built from pooled storage if any.
-  Frame make_frame(uint16_t method_id);
-  /// Pop `th`'s top frame into the pool.
-  void pop_frame(GuestThread& th);
+  /// Load an unloaded class: zeroed statics, then on_class_load.
+  void load_class(uint16_t cls);
+  /// Grow `th`'s value stack to at least `need` values.
+  static void grow_stack(GuestThread& th, size_t need);
+  /// Mark `th` finished and keep its stack storage for the next spawn.
+  void finish(GuestThread& th, ThreadStatus status);
+  /// The registry's function for native `idx`, looked up on first use.
+  const NativeFn& native_fn(uint16_t idx);
   /// Dispatch a pending guest exception; returns false if uncaught
   /// (thread crashed).
   bool dispatch_exception(GuestThread& th, Ref ex, uint32_t throw_pc);
@@ -208,12 +256,13 @@ class VM {
   Heap heap_;
   std::vector<ClassRT> rt_;
   std::vector<GuestThread> threads_;
-  struct ZeroLocals {
-    bool ready = false;
-    std::vector<Value> values;
+  /// Frame and value storage of finished threads, reused by spawn.
+  struct Storage {
+    std::vector<Frame> frames;
+    std::vector<Value> stack;
   };
-  std::vector<ZeroLocals> zero_locals_;
-  std::vector<Frame> frame_pool_;
+  std::vector<Storage> spare_;
+  std::vector<const NativeFn*> native_fns_;  ///< per native index; null until used
   std::unordered_map<uint16_t, Ref> pool_strings_;
   std::unordered_map<Ref, std::string> ex_msgs_;
 

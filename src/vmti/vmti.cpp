@@ -2,10 +2,10 @@
 
 namespace sod::vmti {
 
-svm::Frame& ToolInterface::frame_at(int tid, int depth) {
-  auto& th = vm_->thread(tid);
+size_t ToolInterface::frame_index(int tid, int depth) const {
+  const auto& th = vm_->thread(tid);
   SOD_CHECK(depth >= 0 && static_cast<size_t>(depth) < th.frames.size(), "bad frame depth");
-  return th.frames[th.frames.size() - 1 - static_cast<size_t>(depth)];
+  return th.frames.size() - 1 - static_cast<size_t>(depth);
 }
 
 int ToolInterface::get_stack_depth(int tid) {
@@ -15,7 +15,7 @@ int ToolInterface::get_stack_depth(int tid) {
 
 FrameLocation ToolInterface::get_frame_location(int tid, int depth) {
   spent_ += cm_.get_frame_location;
-  const svm::Frame& f = frame_at(tid, depth);
+  const svm::Frame& f = vm_->thread(tid).frames[frame_index(tid, depth)];
   return FrameLocation{f.method, f.pc};
 }
 
@@ -26,16 +26,16 @@ const std::vector<bc::LocalVar>& ToolInterface::get_local_variable_table(uint16_
 
 Value ToolInterface::get_local(int tid, int depth, uint16_t slot) {
   spent_ += cm_.get_local;
-  const svm::Frame& f = frame_at(tid, depth);
-  SOD_CHECK(slot < f.locals.size(), "bad local slot");
-  return f.locals[slot];
+  std::span<const Value> locals = vm_->frame_locals(tid, frame_index(tid, depth));
+  SOD_CHECK(slot < locals.size(), "bad local slot");
+  return locals[slot];
 }
 
 void ToolInterface::set_local(int tid, int depth, uint16_t slot, Value v) {
   spent_ += cm_.set_local;
-  svm::Frame& f = frame_at(tid, depth);
-  SOD_CHECK(slot < f.locals.size(), "bad local slot");
-  f.locals[slot] = v;
+  std::span<Value> locals = vm_->frame_locals(tid, frame_index(tid, depth));
+  SOD_CHECK(slot < locals.size(), "bad local slot");
+  locals[slot] = v;
 }
 
 Value ToolInterface::get_static_field(uint16_t field_id) {
@@ -65,26 +65,12 @@ void ToolInterface::raise_exception(int tid, uint16_t ex_cls, std::string_view m
 
 void ToolInterface::pop_frame(int tid) {
   spent_ += cm_.pop_frame;
-  auto& th = vm_->thread(tid);
-  SOD_CHECK(!th.frames.empty(), "pop_frame on empty stack");
-  th.frames.pop_back();
+  vm_->pop_top_frame(tid);
 }
 
 void ToolInterface::force_early_return(int tid, Value v) {
   spent_ += cm_.force_early_return;
-  auto& th = vm_->thread(tid);
-  SOD_CHECK(!th.frames.empty(), "force_early_return on empty stack");
-  const bc::Method& m = vm_->program().method(th.frames.back().method);
-  th.frames.pop_back();
-  if (th.frames.empty()) {
-    th.status = svm::ThreadStatus::Done;
-    th.result = v;
-    return;
-  }
-  if (m.ret != Ty::Void) {
-    SOD_CHECK(v.tag == m.ret, "force_early_return type mismatch");
-    th.frames.back().ostack.push_back(v);
-  }
+  vm_->early_return(tid, v);
 }
 
 Ref ToolInterface::resolve_object(Ref r) {

@@ -93,7 +93,8 @@ class ToolInterface {
   void reset_spent() { spent_ = {}; }
 
  private:
-  svm::Frame& frame_at(int tid, int depth);
+  /// Index (0 = bottom) of the frame `depth` frames below the top.
+  size_t frame_index(int tid, int depth) const;
 
   svm::VM* vm_;
   CostModel cm_;

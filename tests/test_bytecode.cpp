@@ -2,8 +2,10 @@
 // acceptance and rejection, disassembler sanity.
 #include <gtest/gtest.h>
 
+#include "apps/apps.h"
 #include "bytecode/disasm.h"
 #include "bytecode/verifier.h"
+#include "prep/prep.h"
 #include "testlib.h"
 
 namespace sod {
@@ -86,6 +88,31 @@ TEST(Program, ClassImageSizeIsPositiveAndStable) {
   EXPECT_EQ(img1, img2);
   EXPECT_GT(img1.size(), 50u);
   EXPECT_GT(p.total_image_size(), img1.size() - 1);
+}
+
+TEST(Program, ClassImageSizeCountsTheImageOfEveryClass) {
+  auto expect_sizes_match = [](const bc::Program& p, const std::string& what) {
+    size_t total = 0;
+    for (const bc::Class& c : p.classes) {
+      EXPECT_EQ(p.class_image_size(c.id), p.class_image(c.id).size()) << what << " " << c.name;
+      total += p.class_image(c.id).size();
+    }
+    EXPECT_EQ(p.total_image_size(), total) << what;
+  };
+  for (const apps::AppSpec& spec : apps::table1_apps()) {
+    bc::Program p = spec.build();
+    expect_sizes_match(p, spec.name);
+    prep::preprocess_program(p);  // rewritten code, var and exception tables
+    expect_sizes_match(p, spec.name);
+  }
+  // The shared 4-tenant program the load generator builds: every Table I
+  // app under each tenant's prefix.
+  ProgramBuilder pb;
+  for (const char* prefix : {"t0_", "t1_", "t2_", "t3_"})
+    for (const apps::AppSpec& spec : apps::table1_apps()) spec.emit(pb, prefix);
+  bc::Program tenants = pb.build();
+  prep::preprocess_program(tenants);
+  expect_sizes_match(tenants, "4-tenant program");
 }
 
 TEST(Program, StmtLookup) {

@@ -1,6 +1,6 @@
 // Interpreter semantics: arithmetic, control flow, locals, recursion,
 // arrays, objects, statics, strings, natives, budget/pause behaviour; the
-// pre-decoded dispatch table and the recycled frame pool.
+// pre-decoded dispatch table and the per-thread value stack.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -380,7 +380,7 @@ TEST(Interp, SafepointPause) {
   ASSERT_EQ(rr.reason, StopReason::SafePoint);
   const auto& f = vm.thread(tid).frames.back();
   EXPECT_TRUE(p.method(f.method).is_stmt_start(f.pc));
-  EXPECT_TRUE(f.ostack.empty());
+  EXPECT_EQ(f.sp, f.base + vm.decoded().methods[f.method].num_locals);  // no operands
   // Clear the request; execution completes normally.
   vm.request_safepoint(false);
   EXPECT_EQ(vm.run(tid).reason, StopReason::Done);
@@ -518,11 +518,12 @@ TEST(Decoded, RewrittenCodeGivesALaterVmAFreshTable) {
             fib_ref(15));
 }
 
-// --- recycled frames ---
+// --- the value stack ---
 
 /// deep(n) fills its locals (i64, f64, ref) and recurses; probe() has the
 /// same layout and returns a checksum of its untouched locals, so any
-/// value leaking out of a recycled frame makes it non-zero.
+/// value left behind on the stack by an earlier, deeper frame makes it
+/// non-zero.
 bc::Program recycle_program() {
   ProgramBuilder pb;
   pb.cls("Box").field("v", Ty::I64);
@@ -560,7 +561,7 @@ bc::Program recycle_program() {
   return pb.build();
 }
 
-TEST(FramePool, FramesPushedAfterDeepRecursionStartZeroed) {
+TEST(ValueStack, FramesPushedAfterDeepRecursionStartZeroed) {
   auto p = recycle_program();
   EXPECT_EQ(run1(p, "M.main", {Value::of_i64(40)}).as_i64(), 0);  // fast mode
 
@@ -573,30 +574,185 @@ TEST(FramePool, FramesPushedAfterDeepRecursionStartZeroed) {
   ASSERT_EQ(vm.run(tid).reason, StopReason::Breakpoint);
   const auto& frames = vm.thread(tid).frames;
   ASSERT_EQ(frames.size(), 2u);
-  const svm::Frame& f = frames.back();
-  EXPECT_EQ(f.method, probe);
-  ASSERT_EQ(f.locals.size(), 4u);
-  EXPECT_TRUE(f.locals[0].same_as(Value::of_i64(0)));
-  EXPECT_TRUE(f.locals[1].same_as(Value::of_f64(0)));
-  EXPECT_TRUE(f.locals[2].same_as(Value::null()));
-  EXPECT_TRUE(f.locals[3].same_as(Value::null()));
-  EXPECT_TRUE(f.ostack.empty());
+  EXPECT_EQ(frames.back().method, probe);
+  std::span<const Value> locals = vm.frame_locals(tid, 1);
+  ASSERT_EQ(locals.size(), 4u);
+  EXPECT_TRUE(locals[0].same_as(Value::of_i64(0)));
+  EXPECT_TRUE(locals[1].same_as(Value::of_f64(0)));
+  EXPECT_TRUE(locals[2].same_as(Value::null()));
+  EXPECT_TRUE(locals[3].same_as(Value::null()));
+  EXPECT_EQ(frames.back().sp, frames.back().base + 4);  // no operands
 
-  // A second deep call reuses the pooled frames and sees zeroed locals too.
+  // A second deep call, on a thread that may reuse a finished thread's
+  // storage, sees zeroed locals too.
   vm.remove_breakpoint(probe, 0);
   const uint16_t deep = p.find_method("M.deep");
+  EXPECT_EQ(vm.call("M.main", std::vector<Value>{Value::of_i64(30)}).as_i64(), 0);
   vm.add_breakpoint(deep, 0);
   int tid2 = vm.spawn(deep, std::vector<Value>{Value::of_i64(3)});
   ASSERT_EQ(vm.run(tid2).reason, StopReason::Breakpoint);
   ASSERT_EQ(vm.run(tid2).reason, StopReason::Breakpoint);
-  const svm::Frame& g = vm.thread(tid2).frames.back();
-  EXPECT_TRUE(g.locals[0].same_as(Value::of_i64(2)));  // the argument
-  EXPECT_TRUE(g.locals[1].same_as(Value::of_i64(0)));
-  EXPECT_TRUE(g.locals[2].same_as(Value::of_f64(0)));
-  EXPECT_TRUE(g.locals[3].same_as(Value::null()));
+  std::span<const Value> g = vm.frame_locals(tid2, vm.thread(tid2).frames.size() - 1);
+  EXPECT_TRUE(g[0].same_as(Value::of_i64(2)));  // the argument
+  EXPECT_TRUE(g[1].same_as(Value::of_i64(0)));
+  EXPECT_TRUE(g[2].same_as(Value::of_f64(0)));
+  EXPECT_TRUE(g[3].same_as(Value::null()));
   vm.clear_breakpoints();
   EXPECT_EQ(vm.run(tid).reason, StopReason::Done);
   EXPECT_EQ(vm.thread(tid).result.as_i64(), 0);
+}
+
+/// rec(n, h): locals x = 7n+3, d = n/4, r = new Box{v = x}.  At n == 0 it
+/// divides by zero; every frame's handler rethrows unless n == h, where it
+/// returns 1000x + 4d + r.v from its own locals.  Frames above h add x.
+bc::Program unwind_program() {
+  ProgramBuilder pb;
+  pb.cls("Box").field("v", Ty::I64);
+  auto& f = pb.cls("M").method("rec", {{"n", Ty::I64}, {"h", Ty::I64}}, Ty::I64);
+  uint16_t x = f.local("x", Ty::I64);
+  uint16_t d = f.local("d", Ty::F64);
+  uint16_t r = f.local("r", Ty::Ref);
+  uint16_t e = f.local("e", Ty::Ref);
+  Label recurse = f.label(), handler = f.label(), rethrow = f.label();
+  f.stmt().iload("n").iconst(7).imul().iconst(3).iadd().istore(x);
+  f.stmt().iload("n").i2d().dconst(0.25).dmul().dstore(d);
+  f.stmt().new_("Box").astore(r);
+  f.stmt().aload(r).iload(x).putfield("Box.v");
+  f.stmt().iload("n").ifne(recurse);
+  f.stmt().iconst(1).iload("n").idiv().iret();
+  f.bind(recurse);
+  uint32_t from = f.here();
+  f.stmt().iload("n").iconst(1).isub().iload("h").invoke("M.rec").iload(x).iadd().iret();
+  uint32_t to = f.here();
+  f.bind(handler).astore(e);
+  f.stmt().iload("n").iload("h").if_icmpne(rethrow);
+  f.stmt()
+      .iload(x).iconst(1000).imul()
+      .dload(d).dconst(4).dmul().d2i().iadd()
+      .aload(r).getfield("Box.v").iadd()
+      .iret();
+  f.bind(rethrow).stmt().aload(e).throw_();
+  f.ex_entry(from, to, handler, bc::builtin::kArithmetic);
+  return pb.build();
+}
+
+int64_t unwind_ref(int64_t n, int64_t h) {
+  const int64_t xh = 7 * h + 3;
+  int64_t v = xh * 1000 + h + xh;
+  for (int64_t k = h + 1; k <= n; ++k) v += 7 * k + 3;
+  return v;
+}
+
+TEST(ValueStack, GrowsMidCallAndUnwindsAcrossTheGrownRegion) {
+  auto p = unwind_program();
+  const uint16_t rec = p.find_method("M.rec");
+  for (int64_t h : {1, 5, 150, 297}) {
+    const std::vector<Value> args{Value::of_i64(300), Value::of_i64(h)};
+    EXPECT_EQ(run1(p, "M.rec", args).as_i64(), unwind_ref(300, h)) << "h=" << h;
+
+    // The same run in small budget slices: the stack doubles several times
+    // while the recursion deepens, and the frames that survive the unwind
+    // keep their locals across every move.
+    svm::VM vm(p, nullptr);
+    int tid = vm.spawn(rec, args);
+    std::vector<size_t> sizes{vm.thread(tid).stack.size()};
+    svm::RunResult rr;
+    while ((rr = vm.run(tid, 97)).reason == StopReason::Budget) {
+      const auto& th = vm.thread(tid);
+      if (th.stack.size() != sizes.back()) sizes.push_back(th.stack.size());
+      // Every live frame above the bottom has its own locals intact.
+      for (size_t i = 0; i < th.frames.size(); ++i) {
+        std::span<const Value> l = vm.frame_locals(tid, i);
+        const int64_t n = 300 - static_cast<int64_t>(i);
+        if (th.frames[i].pc <= p.method(rec).stmt_starts[1]) continue;  // x not set yet
+        ASSERT_TRUE(l[2].same_as(Value::of_i64(7 * n + 3))) << "frame " << i;
+      }
+    }
+    ASSERT_EQ(rr.reason, StopReason::Done);
+    EXPECT_EQ(vm.thread(tid).result.as_i64(), unwind_ref(300, h)) << "h=" << h;
+    EXPECT_GE(sizes.size(), 4u) << "h=" << h;  // grew at least three times
+  }
+
+  // Uncaught (h = -1): every handler rethrows and the thread crashes.
+  svm::VM vm(p, nullptr);
+  int tid = vm.spawn(rec, std::vector<Value>{Value::of_i64(300), Value::of_i64(-1)});
+  EXPECT_EQ(vm.run(tid).reason, StopReason::Crashed);
+  EXPECT_EQ(vm.class_of(vm.thread(tid).uncaught), bc::builtin::kArithmetic);
+}
+
+TEST(ValueStack, NativeReadsItsArgumentSpanAndRaises) {
+  ProgramBuilder pb;
+  pb.native("t.check", {Ty::I64, Ty::F64, Ty::Ref}, Ty::I64);
+  pb.cls("Box").field("v", Ty::I64);
+  auto& f = pb.cls("M").method("go", {{"a", Ty::I64}}, Ty::I64);
+  uint16_t b = f.local("b", Ty::Ref);
+  uint16_t k = f.local("k", Ty::I64);
+  Label handler = f.label();
+  f.stmt().new_("Box").astore(b);
+  f.stmt().iconst(31).istore(k);
+  uint32_t from = f.here();
+  // 100 sits under the arguments: the native's span must not reach it.
+  f.stmt().iconst(100).iload("a").dconst(2.5).aload(b).invokenative("t.check").iadd().iret();
+  uint32_t to = f.here();
+  f.bind(handler).pop();
+  f.stmt().iload(k).iconst(1000).iadd().iret();
+  f.ex_entry(from, to, handler, bc::builtin::kArithmetic);
+  auto p = pb.build();
+
+  std::vector<std::vector<Value>> seen;
+  svm::NativeRegistry reg;
+  reg.bind("t.check", [&](svm::VM& vm, std::span<Value> a) {
+    seen.emplace_back(a.begin(), a.end());
+    if (a[0].i < 0) {
+      vm.throw_guest(bc::builtin::kArithmetic, "negative");
+      return Value{};
+    }
+    return Value::of_i64(a[0].i + static_cast<int64_t>(a[1].d * 2));
+  });
+  svm::VM vm(p, &reg);
+  EXPECT_EQ(vm.call("M.go", std::vector<Value>{Value::of_i64(7)}).as_i64(), 112);
+  EXPECT_EQ(vm.call("M.go", std::vector<Value>{Value::of_i64(-4)}).as_i64(), 1031);
+  ASSERT_EQ(seen.size(), 2u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i].size(), 3u);
+    EXPECT_TRUE(seen[i][0].same_as(Value::of_i64(i == 0 ? 7 : -4)));
+    EXPECT_TRUE(seen[i][1].same_as(Value::of_f64(2.5)));
+    EXPECT_EQ(seen[i][2].tag, Ty::Ref);
+    EXPECT_NE(seen[i][2].r, bc::kNull);
+  }
+}
+
+TEST(Decoded, RewrittenFrameHeaderGivesALaterVmAFreshTable) {
+  auto p = recycle_program();
+  const uint16_t probe = p.find_method("M.probe");
+  svm::VM before(p, nullptr);
+  ASSERT_EQ(before.decoded().methods[probe].num_locals, 4);
+
+  // Grow probe's locals by one untyped slot: the code is unchanged, but a
+  // later VM must size and zero probe's frames from the new header.
+  p.method_mut(probe).num_locals = 5;
+  EXPECT_FALSE(before.decoded().matches(p));
+  svm::VM after(p, nullptr);
+  EXPECT_NE(&before.decoded(), &after.decoded());
+  EXPECT_TRUE(after.decoded().matches(p));
+  const bc::DecodedMethod& dm = after.decoded().methods[probe];
+  EXPECT_EQ(dm.num_locals, 5);
+  ASSERT_EQ(dm.zero_locals.size(), 5u);
+  EXPECT_TRUE(dm.zero_locals[4].same_as(Value::of_i64(0)));
+  EXPECT_EQ(after.call("M.main", std::vector<Value>{Value::of_i64(20)}).as_i64(), 0);
+
+  // Each other header field is compared too.
+  auto changed = [&](auto edit) {
+    auto q = recycle_program();
+    svm::VM vm(q, nullptr);
+    edit(q.method_mut(q.find_method("M.probe")));
+    return !vm.decoded().matches(q);
+  };
+  EXPECT_TRUE(changed([](bc::Method& m) { ++m.max_stack; }));
+  EXPECT_TRUE(changed([](bc::Method& m) { m.owner = 0; }));
+  EXPECT_TRUE(changed([](bc::Method& m) { m.params.push_back(Ty::I64); }));
+  EXPECT_TRUE(changed([](bc::Method& m) { m.var_table[1].type = Ty::I64; }));
+  EXPECT_FALSE(changed([](bc::Method& m) { m.var_table[1].name = "renamed"; }));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // Fig. 1 flows: return-to-home, total migration, multi-hop workflow.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "apps/apps.h"
@@ -142,6 +143,71 @@ TEST(Migrate, ObjectFaultingFetchesOnDemandAndWritesBack) {
   ASSERT_EQ(rr.reason, svm::StopReason::Done);
   // main returns sum + total_built = 55 + 10
   EXPECT_EQ(home.vm().thread(tid).result.as_i64(), 65);
+}
+
+/// One list-sum offload driven step by step: `before_restore` runs after
+/// the Segment is built and bound, before restoration (where a benchmark
+/// wraps natives).  Returns the remote result and the faults it served.
+std::pair<int64_t, int> offload_list_sum(SodNode& home, SodNode& dest,
+                                         const std::function<void()>& before_restore) {
+  const bc::Program& p = home.program();
+  int tid = home.vm().spawn(p.find_method("M.main"), std::vector<Value>{Value::of_i64(10)});
+  EXPECT_TRUE(mig::pause_at_depth(home, tid, p.find_method("M.sum"), 2));
+  mig::CapturedState cs = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
+  home.ti().set_debug_enabled(false);
+  mig::Segment seg(dest);
+  seg.objman().bind_home(&home, tid, 1, sim::Link::gigabit());
+  before_restore();
+  seg.restore(cs);
+  Value r = seg.run_to_completion();
+  mig::write_back(seg, home, tid, 1, r, sim::Link::gigabit());
+  return {r.as_i64(), seg.objman().stats().faults};
+}
+
+TEST(Migrate, SodNativesBindOncePerNodeAndServeTheNewestSegment) {
+  auto p = list_program();
+  prep::preprocess_program(p);
+  SodNode home("home", p, {});
+  SodNode dest("dest", p, {});
+  auto [r1, f1] = offload_list_sum(home, dest, [] {});
+  EXPECT_EQ(r1, 55);
+  EXPECT_GE(f1, 10);
+
+  // Later segments on the node bind nothing; each is served by its own
+  // object manager (its fault count starts from zero) and its own
+  // restoration cursor.
+  const uint64_t bound = dest.registry().version();
+  for (int i = 0; i < 3; ++i) {
+    auto [r, f] = offload_list_sum(home, dest, [] {});
+    EXPECT_EQ(r, 55);
+    EXPECT_EQ(f, f1);
+  }
+  EXPECT_EQ(dest.registry().version(), bound);
+
+  // A native wrapped after a segment is built serves that segment; the
+  // next segment's construction replaces the wrapper with the node's own
+  // binding, so wrapping again never stacks wrappers.
+  int wrapped = 0;
+  auto wrap = [&] {
+    for (const char* name : {"objman.bring_local", "objman.bring_field"}) {
+      const svm::NativeFn inner = *dest.registry().find(name);
+      dest.registry().bind(name, [&wrapped, inner](svm::VM& vm, std::span<Value> a) {
+        ++wrapped;
+        return inner(vm, a);
+      });
+    }
+  };
+  int per_offload = -1;
+  for (int i = 0; i < 3; ++i) {
+    const int before = wrapped;
+    auto [r, f] = offload_list_sum(home, dest, wrap);
+    EXPECT_EQ(r, 55);
+    EXPECT_EQ(f, f1);
+    const int calls = wrapped - before;
+    EXPECT_GT(calls, 0);
+    if (per_offload < 0) per_offload = calls;
+    EXPECT_EQ(calls, per_offload) << "wrappers stacked up";
+  }
 }
 
 TEST(Migrate, WriteBackReflectsHeapMutations) {
