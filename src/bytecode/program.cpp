@@ -84,10 +84,6 @@ uint32_t switch_target(std::span<const uint8_t> code, uint32_t pc, int64_t key) 
 
 namespace {
 
-/// Decode `m` into one entry per code byte.  Decoding stops at the first
-/// bad opcode or truncated instruction, leaving the rest "not an
-/// instruction start": malformed code panics when it is reached, as
-/// before, not when a VM is built on the program.
 /// Typed zero of local `slot`: the type of its last var_table entry, i64
 /// when the table does not name the slot.
 Ty local_type(const Method& m, uint16_t slot) {
@@ -97,7 +93,35 @@ Ty local_type(const Method& m, uint16_t slot) {
   return t;
 }
 
-DecodedMethod decode_method(const Method& m) {
+/// Rewrite the first entry of every kSuperinstructions sequence whose
+/// later pcs are not in `entered` to the fused op.  A fused sequence is
+/// skipped whole, so its later entries keep their plain ops.
+void fuse(std::vector<DecodedInstr>& ops, const std::vector<uint8_t>& entered) {
+  const auto size = static_cast<uint32_t>(ops.size());
+  auto plain_at = [&](uint32_t pc) {
+    return pc < size && !entered[pc] && ops[pc].op != Op::kOpCount_;
+  };
+  for (uint32_t pc = 0; pc < size && ops[pc].op != Op::kOpCount_; pc += ops[pc].size) {
+    const uint32_t p2 = pc + ops[pc].size;
+    if (!plain_at(p2)) continue;
+    const uint32_t p3 = p2 + ops[p2].size;
+    if (!plain_at(p3)) continue;
+    for (const Superinstruction& s : kSuperinstructions) {
+      if (ops[pc].op == s.seq[0] && ops[p2].op == s.seq[1] && ops[p3].op == s.seq[2]) {
+        ops[pc].op = s.fused;
+        pc = p3;
+        break;
+      }
+    }
+  }
+}
+
+/// Decode `m` into one entry per code byte.  Decoding stops at the first
+/// bad opcode or truncated instruction, leaving the rest "not an
+/// instruction start": malformed code panics when it is reached, as
+/// before, not when a VM is built on the program.  `entered` is scratch
+/// space, reused across methods.
+DecodedMethod decode_method(const Method& m, std::vector<uint8_t>& entered) {
   DecodedMethod dm;
   dm.owner = m.owner;
   dm.num_params = static_cast<uint16_t>(m.params.size());
@@ -109,6 +133,12 @@ DecodedMethod decode_method(const Method& m) {
   dm.stmt_starts = m.stmt_starts;
   dm.ops.resize(m.code.size());
   const auto size = static_cast<uint32_t>(m.code.size());
+  // Pcs control can reach other than by falling through: statement
+  // starts, branch and switch targets, exception handlers.
+  entered.assign(size, 0);
+  auto enter = [&](uint32_t pc) {
+    if (pc < size) entered[pc] = 1;
+  };
   for (uint32_t pc = 0; pc < size;) {
     if (m.code[pc] >= static_cast<uint8_t>(Op::kOpCount_)) break;
     if (static_cast<Op>(m.code[pc]) == Op::LOOKUPSWITCH && pc + 3 > size) break;
@@ -117,10 +147,30 @@ DecodedMethod decode_method(const Method& m) {
     SOD_CHECK(n <= UINT16_MAX, "lookupswitch too large to pre-decode in " + m.name);
     Instr in = decode(m.code, pc);
     dm.ops[pc] = {in.op, 0, static_cast<uint16_t>(n), in.arg};
+    if (is_branch(in.op)) enter(in.arg);
+    if (in.op == Op::LOOKUPSWITCH) {
+      // Walked in place, as switch_target does: default, then each pair.
+      uint32_t tgt;
+      std::memcpy(&tgt, m.code.data() + pc + 3, 4);
+      enter(tgt);
+      for (uint32_t at = pc + 7 + 8; at < pc + n; at += 12) {
+        std::memcpy(&tgt, m.code.data() + at, 4);
+        enter(tgt);
+      }
+    }
     pc += n;
   }
-  for (uint32_t s : m.stmt_starts)
-    if (s < size) dm.ops[s].flags |= DecodedInstr::kMsp;
+  for (uint32_t s : m.stmt_starts) {
+    if (s >= size) continue;
+    dm.ops[s].flags |= DecodedInstr::kMsp;
+    entered[s] = 1;
+  }
+  dm.handler_pcs.reserve(m.ex_table.size());
+  for (const ExEntry& e : m.ex_table) {
+    dm.handler_pcs.push_back(e.handler_pc);
+    enter(e.handler_pc);
+  }
+  fuse(dm.ops, entered);
   return dm;
 }
 
@@ -129,7 +179,8 @@ DecodedMethod decode_method(const Method& m) {
 DecodedProgram DecodedProgram::build(const Program& p) {
   DecodedProgram dp;
   dp.methods.reserve(p.methods.size());
-  for (const Method& m : p.methods) dp.methods.push_back(decode_method(m));
+  std::vector<uint8_t> entered;
+  for (const Method& m : p.methods) dp.methods.push_back(decode_method(m, entered));
   return dp;
 }
 
@@ -142,6 +193,9 @@ bool DecodedProgram::matches(const Program& p) const {
         dm.num_locals != m.num_locals || dm.max_stack != m.max_stack)
       return false;
     if (dm.code != m.code || dm.stmt_starts != m.stmt_starts) return false;
+    if (dm.handler_pcs.size() != m.ex_table.size()) return false;
+    for (size_t e = 0; e < m.ex_table.size(); ++e)
+      if (dm.handler_pcs[e] != m.ex_table[e].handler_pc) return false;
     for (uint16_t s = 0; s < m.num_locals; ++s)
       if (!dm.zero_locals[s].same_as(Value::zero_of(local_type(m, s)))) return false;
   }

@@ -125,11 +125,47 @@ SwitchInfo decode_switch(std::span<const uint8_t> code, uint32_t pc);
 /// Branch target a LOOKUPSWITCH at `pc` takes for `key` (no allocation).
 uint32_t switch_target(std::span<const uint8_t> code, uint32_t pc, int64_t key);
 
+/// Superinstructions: ops that exist only in a decoded table, numbered
+/// after kOpCount_.  Each stands for a hot straight-line sequence of three
+/// throw-free, call-free, allocation-free instructions.  Bytecode, the
+/// verifier, disasm, class images and captured state never see them.
+namespace fused {
+inline constexpr Op ILOAD_ICONST_ISUB = static_cast<Op>(kNumOps + 1);
+inline constexpr Op ILOAD_ICONST_IF_ICMPGE = static_cast<Op>(kNumOps + 2);
+inline constexpr Op ILOAD_ILOAD_IADD = static_cast<Op>(kNumOps + 3);
+}  // namespace fused
+
+/// A fused op and the sequence it stands for.
+struct Superinstruction {
+  Op fused;
+  Op seq[3];
+};
+/// The pattern table, in fused-op order.
+inline constexpr Superinstruction kSuperinstructions[] = {
+    {fused::ILOAD_ICONST_ISUB, {Op::ILOAD, Op::ICONST, Op::ISUB}},
+    {fused::ILOAD_ICONST_IF_ICMPGE, {Op::ILOAD, Op::ICONST, Op::IF_ICMPGE}},
+    {fused::ILOAD_ILOAD_IADD, {Op::ILOAD, Op::ILOAD, Op::IADD}},
+};
+inline constexpr int kNumFused = static_cast<int>(std::size(kSuperinstructions));
+
+constexpr bool is_fused(Op op) { return op > Op::kOpCount_; }
+/// The op of the first instruction an entry runs: a fused op's first op,
+/// any other op itself.
+constexpr Op plain_op(Op op) {
+  return is_fused(op) ? kSuperinstructions[static_cast<int>(op) - kNumOps - 1].seq[0] : op;
+}
+
 /// One pre-decoded instruction: the interpreter's dispatch entry.  Tables
 /// are indexed by *byte* pc, so branch targets, captured pcs, breakpoints
 /// and statement starts keep their byte-offset meaning; bytes that do not
 /// start an instruction hold op == kOpCount_.  ICONST/DCONST immediates
 /// and LOOKUPSWITCH payloads stay in the code bytes.
+///
+/// The first entry of a kSuperinstructions sequence holds the fused op;
+/// its size, arg and flags, and every later entry of the sequence, stay
+/// those of the plain instructions.  A sequence is fused only when no pc
+/// after its first is a statement start, a branch or switch target, or an
+/// exception handler, so no pc can be observed mid-sequence.
 struct DecodedInstr {
   static constexpr uint8_t kMsp = 1;  ///< flag: pc is a statement start (MSP)
 
@@ -153,6 +189,7 @@ struct DecodedMethod {
 
   std::vector<uint8_t> code;          ///< the code `ops` was decoded from
   std::vector<uint32_t> stmt_starts;  ///< the statement table behind kMsp
+  std::vector<uint32_t> handler_pcs;  ///< ex_table handler pcs, in table order
   std::vector<DecodedInstr> ops;      ///< one entry per code byte
 };
 
@@ -164,9 +201,9 @@ struct DecodedProgram {
   std::vector<DecodedMethod> methods;
 
   static DecodedProgram build(const Program& p);
-  /// True while every method's code, statement table and frame header
-  /// (owner, parameter count, num_locals, max_stack, local types) still
-  /// equal the ones this table was built from.
+  /// True while every method's code, statement table, exception handler
+  /// pcs and frame header (owner, parameter count, num_locals, max_stack,
+  /// local types) still equal the ones this table was built from.
   bool matches(const Program& p) const;
 };
 

@@ -77,37 +77,6 @@ void Heap::replace_stub(Ref stub, Cell materialized) {
   cell(stub) = std::move(materialized);
 }
 
-ObjCell& Heap::obj(Ref r) {
-  auto* p = std::get_if<ObjCell>(&cell(r));
-  SOD_CHECK(p, "ref is not an object");
-  return *p;
-}
-const ObjCell& Heap::obj(Ref r) const {
-  auto* p = std::get_if<ObjCell>(&cell(r));
-  SOD_CHECK(p, "ref is not an object");
-  return *p;
-}
-ArrICell& Heap::arr_i(Ref r) {
-  auto* p = std::get_if<ArrICell>(&cell(r));
-  SOD_CHECK(p, "ref is not an i64 array");
-  return *p;
-}
-ArrDCell& Heap::arr_d(Ref r) {
-  auto* p = std::get_if<ArrDCell>(&cell(r));
-  SOD_CHECK(p, "ref is not an f64 array");
-  return *p;
-}
-ArrRCell& Heap::arr_r(Ref r) {
-  auto* p = std::get_if<ArrRCell>(&cell(r));
-  SOD_CHECK(p, "ref is not a ref array");
-  return *p;
-}
-const StrCell& Heap::str(Ref r) const {
-  auto* p = std::get_if<StrCell>(&cell(r));
-  SOD_CHECK(p, "ref is not a string");
-  return *p;
-}
-
 void Heap::serialize_shallow(Ref r, ByteWriter& w) const {
   const Cell& c = cell(r);
   if (const auto* o = std::get_if<ObjCell>(&c)) {

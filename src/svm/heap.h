@@ -94,12 +94,14 @@ class Heap {
     SOD_CHECK(valid(r), "bad ref");
     return chunks_[(r - 1) >> kChunkShift][(r - 1) & kChunkMask];
   }
-  ObjCell& obj(Ref r);
-  const ObjCell& obj(Ref r) const;
-  ArrICell& arr_i(Ref r);
-  ArrDCell& arr_d(Ref r);
-  ArrRCell& arr_r(Ref r);
-  const StrCell& str(Ref r) const;
+  // Typed views of a cell; the interpreter calls these on every field and
+  // array access, so they are inline.
+  ObjCell& obj(Ref r) { return as<ObjCell>(r, "ref is not an object"); }
+  const ObjCell& obj(Ref r) const { return as<ObjCell>(r, "ref is not an object"); }
+  ArrICell& arr_i(Ref r) { return as<ArrICell>(r, "ref is not an i64 array"); }
+  ArrDCell& arr_d(Ref r) { return as<ArrDCell>(r, "ref is not an f64 array"); }
+  ArrRCell& arr_r(Ref r) { return as<ArrRCell>(r, "ref is not a ref array"); }
+  const StrCell& str(Ref r) const { return as<StrCell>(r, "ref is not a string"); }
 
   size_t count() const { return count_; }
   size_t used_bytes() const { return used_; }
@@ -134,6 +136,19 @@ class Heap {
   static constexpr size_t kChunkShift = 10;
   static constexpr size_t kChunkCells = size_t{1} << kChunkShift;
   static constexpr size_t kChunkMask = kChunkCells - 1;
+
+  template <class T>
+  T& as(Ref r, const char* what) {
+    auto* p = std::get_if<T>(&cell(r));
+    SOD_CHECK(p, what);
+    return *p;
+  }
+  template <class T>
+  const T& as(Ref r, const char* what) const {
+    const auto* p = std::get_if<T>(&cell(r));
+    SOD_CHECK(p, what);
+    return *p;
+  }
 
   Ref push_cell(Cell c, size_t bytes);
   size_t cell_bytes(const Cell& c) const;

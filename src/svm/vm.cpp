@@ -1,6 +1,7 @@
 #include "svm/vm.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -53,6 +54,9 @@ namespace {
 /// Values a new stack starts with: room for a few frames of the usual
 /// handful of locals and operands before the first doubling.
 constexpr size_t kMinStack = 64;
+/// Encoded size of ICONST (opcode + i64 immediate), which fused handlers
+/// step over.
+constexpr uint32_t kIconstSize = 9;
 }  // namespace
 
 void VM::grow_stack(GuestThread& th, size_t need) {
@@ -275,36 +279,46 @@ RunResult VM::run(int tid, uint64_t budget) {
 }
 
 // Dispatch plumbing shared by both interpreter modes.  Handlers are written
-// once; VM_LABEL expands to a goto label (direct-threaded) or a case label
-// (switch loop), and every handler ends in VM_NEXT()/VM_JUMP(), which run
-// the fast prologue: re-check only what a handler can change (budget,
-// pause request, debug mode) and dispatch the pre-decoded entry at the new
-// pc.  An exhausted budget or a pause request writes the top frame's pc
-// and sp back and goes to vm_top, the full prologue that also re-seats the
-// registers from the thread (on entry and after an exception).  Debug mode
-// goes to vm_check for the breakpoint and safepoint checks, which write
-// the registers back only when they stop.  INVOKE and RETURN re-seat the
-// registers themselves.  A pc past the code or inside an instruction lands
-// on vm_bad_pc.
+// once; VM_LABEL (VM_FUSED for a bc::fused op) expands to a goto label
+// (direct-threaded) or a case label (switch loop, which switches on the
+// op's byte because fused ops are not bc::Op enumerators).
+// VM_DISPATCH_PLAIN runs a fused entry's first instruction alone.  Every
+// handler ends in VM_NEXT()/VM_JUMP(), which run the fast prologue:
+// re-check only what a handler can change (budget, debug mode) and
+// dispatch the pre-decoded entry at the new pc.  An exhausted budget
+// writes the top frame's pc and sp back and goes to vm_top, the full
+// prologue that also re-seats the registers from the thread (on entry and
+// after an exception).  Debug mode goes to vm_check for the breakpoint and
+// safepoint checks, which write the registers back only when they stop.
+// INVOKE and RETURN re-seat the registers themselves.  A pc past the code
+// or inside an instruction lands on vm_bad_pc.
 #if SOD_COMPUTED_GOTO
 #define VM_LABEL(name) h_##name
+#define VM_FUSED(name) h_##name
 #define VM_DISPATCH() goto* kJump[static_cast<size_t>(in.op)]
+#define VM_DISPATCH_PLAIN() goto* kPlain[static_cast<size_t>(in.op)]
 #else
-#define VM_LABEL(name) case Op::name
+#define VM_LABEL(name) case static_cast<uint8_t>(Op::name)
+#define VM_FUSED(name) case static_cast<uint8_t>(bc::fused::name)
 #define VM_DISPATCH() goto vm_switch
+#define VM_DISPATCH_PLAIN()        \
+  do {                             \
+    in.op = bc::plain_op(in.op);   \
+    goto vm_switch;                \
+  } while (0)
 #endif
-#define VM_FAST()                           \
-  do {                                      \
-    if (executed >= budget || pause_req_) { \
-      VM_SAVE();                            \
-      goto vm_top;                          \
-    }                                       \
-    if (debug_) goto vm_check;              \
-    if (pc >= ncode) goto vm_bad_pc;        \
-    in = ops[pc];                           \
-    next = pc + in.size;                    \
-    ++executed;                             \
-    VM_DISPATCH();                          \
+#define VM_FAST()                    \
+  do {                               \
+    if (executed >= budget) {        \
+      VM_SAVE();                     \
+      goto vm_top;                   \
+    }                                \
+    if (debug_) goto vm_check;       \
+    if (pc >= ncode) goto vm_bad_pc; \
+    in = ops[pc];                    \
+    next = pc + in.size;             \
+    ++executed;                      \
+    VM_DISPATCH();                   \
   } while (0)
 #define VM_NEXT() \
   do {            \
@@ -386,7 +400,8 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
 
 #if SOD_COMPUTED_GOTO
   // One entry per opcode, in bc::Op declaration order, plus kOpCount_:
-  // the decoded table's marker for a pc that is not an instruction start.
+  // the decoded table's marker for a pc that is not an instruction start,
+  // then the bc::fused ops in kSuperinstructions order.
   static const void* const kJump[] = {
       &&h_NOP,        &&h_ICONST,     &&h_DCONST,     &&h_ACONST_NULL, &&h_LDC_STR,
       &&h_ILOAD,      &&h_DLOAD,      &&h_ALOAD,      &&h_ISTORE,      &&h_DSTORE,
@@ -402,9 +417,18 @@ RunResult VM::loop(GuestThread& th, uint64_t budget) {
       &&h_IALOAD,     &&h_IASTORE,    &&h_DALOAD,     &&h_DASTORE,     &&h_AALOAD,
       &&h_AASTORE,    &&h_ARRAYLEN,   &&h_INVOKE,     &&h_INVOKENATIVE, &&h_RETURN,
       &&h_IRETURN,    &&h_DRETURN,    &&h_ARETURN,    &&h_THROW,      &&vm_bad_pc,
+      &&h_ILOAD_ICONST_ISUB, &&h_ILOAD_ICONST_IF_ICMPGE, &&h_ILOAD_ILOAD_IADD,
   };
-  static_assert(sizeof(kJump) / sizeof(kJump[0]) == static_cast<size_t>(bc::kNumOps) + 1,
-                "jump table out of sync with bc::Op");
+  static_assert(sizeof(kJump) / sizeof(kJump[0]) ==
+                    static_cast<size_t>(bc::kNumOps) + 1 + bc::kNumFused,
+                "jump table out of sync with bc::Op and bc::fused");
+  // kJump with each fused op sent to its first instruction's handler.
+  static const auto kPlain = [] {
+    std::array<const void*, std::size(kJump)> t{};
+    for (size_t i = 0; i < t.size(); ++i)
+      t[i] = kJump[static_cast<size_t>(bc::plain_op(static_cast<Op>(i)))];
+    return t;
+  }();
 #endif
 
 vm_top:
@@ -421,11 +445,6 @@ vm_top:
   sp = stk + f->sp;
   VM_BOUNDS();
 
-  if (pause_req_) {
-    pause_req_ = false;
-    VM_STOP(Trap);
-  }
-
 vm_check:
   // Debug-mode checks before every instruction, on the seated registers.
   if (pc >= ncode) goto vm_bad_pc;
@@ -441,6 +460,10 @@ vm_check:
       VM_SAVE();
       VM_STOP(SafePoint);
     }
+    // Debug mode runs every instruction alone, so these checks see every pc.
+    next = pc + in.size;
+    ++executed;
+    VM_DISPATCH_PLAIN();
   }
 
   next = pc + in.size;
@@ -449,7 +472,7 @@ vm_check:
 
 #if !SOD_COMPUTED_GOTO
 vm_switch:
-  switch (in.op) {
+  switch (static_cast<uint8_t>(in.op)) {
 #endif
 
   VM_LABEL(NOP) : VM_NEXT();
@@ -766,8 +789,39 @@ vm_switch:
     goto vm_top;
   }
 
+  // Superinstructions (see bc::kSuperinstructions).  `next` is past the
+  // leading ILOAD.  A fused handler runs its whole sequence only when the
+  // budget has room for the two later instructions, and counts them;
+  // otherwise the leading instruction runs alone.  Either way a budget
+  // stop lands on the same instruction count, so checkpoint chunks and
+  // virtual time do not depend on fusion.
+  VM_FUSED(ILOAD_ICONST_ISUB) : {
+    if (budget - executed < 2) VM_DISPATCH_PLAIN();
+    executed += 2;
+    int64_t k;
+    std::memcpy(&k, code + next + 1, 8);
+    push(Value::of_i64(locals[in.arg].i - k));
+    VM_JUMP(next + kIconstSize + 1);
+  }
+  VM_FUSED(ILOAD_ICONST_IF_ICMPGE) : {
+    if (budget - executed < 2) VM_DISPATCH_PLAIN();
+    executed += 2;
+    int64_t k;
+    std::memcpy(&k, code + next + 1, 8);
+    const DecodedInstr& br = ops[next + kIconstSize];
+    if (locals[in.arg].i >= k) VM_JUMP(br.arg);
+    VM_JUMP(next + kIconstSize + br.size);
+  }
+  VM_FUSED(ILOAD_ILOAD_IADD) : {
+    if (budget - executed < 2) VM_DISPATCH_PLAIN();
+    executed += 2;
+    const DecodedInstr& second = ops[next];
+    push(Value::of_i64(locals[in.arg].i + locals[second.arg].i));
+    VM_JUMP(next + second.size + 1);
+  }
+
 #if !SOD_COMPUTED_GOTO
-  case Op::kOpCount_: goto vm_bad_pc;
+  default: goto vm_bad_pc;  // kOpCount_: not an instruction start
   }
   SOD_UNREACHABLE("fell out of dispatch switch");
 #endif
@@ -804,6 +858,8 @@ vm_done:
 #undef VM_SAVE
 #undef VM_BOUNDS
 #undef VM_LABEL
+#undef VM_FUSED
+#undef VM_DISPATCH_PLAIN
 #undef VM_DISPATCH
 #undef VM_FAST
 #undef VM_NEXT

@@ -22,6 +22,15 @@
 // rebuilds it if the code was rewritten since; a running VM keeps the
 // table it started with.
 //
+// Three hot sequences (ILOAD·ICONST·ISUB, ILOAD·ICONST·IF_ICMPGE,
+// ILOAD·ILOAD·IADD; bc::kSuperinstructions) are fused at decode time: the
+// sequence's first entry holds a bc::fused op that fast mode runs as one
+// dispatch.  Fusion never spans a statement start, a branch target or an
+// exception handler, and a fused op runs only when the budget has room
+// for its whole sequence (else its first instruction runs alone), so
+// instruction counts, budget stops and every observable pc are those of
+// the plain code.  Debug mode runs every instruction alone.
+//
 // Each guest thread owns one contiguous value stack; a Frame is a view
 // {method, pc, base, sp} onto it.  A frame's locals sit at [base, base +
 // num_locals) and its operands above them.  INVOKE makes the caller's
@@ -114,7 +123,7 @@ struct GuestThread {
   bool resume_skip_bp = false;  ///< skip the breakpoint we just paused on
 };
 
-enum class StopReason : uint8_t { Done, Budget, Breakpoint, SafePoint, Crashed, Trap };
+enum class StopReason : uint8_t { Done, Budget, Breakpoint, SafePoint, Crashed };
 
 struct RunResult {
   StopReason reason = StopReason::Done;
@@ -173,12 +182,6 @@ class VM {
   /// Request a pause at the next migration-safe point (statement start).
   void request_safepoint(bool on) { safepoint_req_ = on; }
   bool safepoint_requested() const { return safepoint_req_; }
-
-  /// Ask the interpreter to stop before the next instruction (used by the
-  /// offload-trap native: the injected OutOfMemory handler jumps back to
-  /// the failing statement's MSP and the loop pauses right there, leaving
-  /// the thread capturable).  One-shot; works in fast mode too.
-  void request_pause() { pause_req_ = true; }
 
   /// Throw a guest exception in `tid`'s current context and dispatch it
   /// (tool-interface RaiseException; used to trigger restoration handlers).
@@ -268,7 +271,6 @@ class VM {
 
   bool debug_ = false;
   bool safepoint_req_ = false;
-  bool pause_req_ = false;
   std::unordered_set<uint64_t> bps_;
 
   // pending guest exception (set by natives / interpreter helpers)

@@ -1,6 +1,7 @@
 // Interpreter semantics: arithmetic, control flow, locals, recursion,
-// arrays, objects, statics, strings, natives, budget/pause behaviour; the
-// pre-decoded dispatch table and the per-thread value stack.
+// arrays, objects, statics, strings, natives, budget and safepoint stops;
+// the pre-decoded dispatch table, its superinstructions and the
+// per-thread value stack.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -432,7 +433,26 @@ TEST(Interp, InstructionCounting) {
 
 // --- pre-decoded dispatch table ---
 
+/// Pcs of `m` that control can reach other than by falling through:
+/// statement starts, branch and switch targets, exception handlers.
+std::vector<bool> entered_pcs(const bc::Method& m) {
+  std::vector<bool> entered(m.code.size() + 1, false);
+  for (uint32_t s : m.stmt_starts) entered[s] = true;
+  for (const bc::ExEntry& e : m.ex_table) entered[e.handler_pc] = true;
+  for (uint32_t pc = 0; pc < m.code.size(); pc += bc::instr_size(m.code, pc)) {
+    bc::Instr in = bc::decode(m.code, pc);
+    if (bc::is_branch(in.op)) entered[in.arg] = true;
+    if (in.op == Op::LOOKUPSWITCH) {
+      bc::SwitchInfo si = bc::decode_switch(m.code, pc);
+      entered[si.default_target] = true;
+      for (const auto& [key, tgt] : si.pairs) entered[tgt] = true;
+    }
+  }
+  return entered;
+}
+
 TEST(Decoded, TableMatchesDecodeAtEveryInstructionOfEveryTableIApp) {
+  int fused_by_kind[bc::kNumFused] = {};
   for (const apps::AppSpec& spec : apps::table1_apps()) {
     bc::Program p = spec.build();
     prep::preprocess_program(p);
@@ -443,7 +463,9 @@ TEST(Decoded, TableMatchesDecodeAtEveryInstructionOfEveryTableIApp) {
     for (const bc::Method& m : p.methods) {
       const auto& ops = dp.methods[m.id].ops;
       ASSERT_EQ(ops.size(), m.code.size()) << m.name;
+      const std::vector<bool> entered = entered_pcs(m);
       uint32_t next_start = 0;
+      uint32_t interior_until = 0;  // end of the fused sequence pc is inside
       for (uint32_t pc = 0; pc < m.code.size(); ++pc) {
         const bc::DecodedInstr& e = ops[pc];
         if (pc != next_start) {
@@ -451,11 +473,26 @@ TEST(Decoded, TableMatchesDecodeAtEveryInstructionOfEveryTableIApp) {
           continue;
         }
         bc::Instr in = bc::decode(m.code, pc);
-        EXPECT_EQ(e.op, in.op) << m.name << " pc " << pc;
+        EXPECT_EQ(bc::plain_op(e.op), in.op) << m.name << " pc " << pc;
         EXPECT_EQ(e.size, in.size) << m.name << " pc " << pc;
         EXPECT_EQ(e.arg, in.arg) << m.name << " pc " << pc;
         const bool msp = (e.flags & bc::DecodedInstr::kMsp) != 0;
         EXPECT_EQ(msp, m.is_stmt_start(pc)) << m.name << " pc " << pc;
+        if (pc < interior_until) {
+          // Inside a fused sequence: a plain entry nothing jumps to.
+          EXPECT_EQ(e.op, in.op) << m.name << " pc " << pc;
+          EXPECT_FALSE(entered[pc]) << m.name << " pc " << pc << " is entered mid-sequence";
+        } else if (bc::is_fused(e.op)) {
+          const auto& sup = bc::kSuperinstructions[static_cast<int>(e.op) - bc::kNumOps - 1];
+          EXPECT_EQ(sup.fused, e.op);
+          uint32_t at = pc;
+          for (Op want : sup.seq) {
+            EXPECT_EQ(bc::decode(m.code, at).op, want) << m.name << " pc " << at;
+            at += bc::instr_size(m.code, at);
+          }
+          interior_until = at;
+          ++fused_by_kind[static_cast<int>(e.op) - bc::kNumOps - 1];
+        }
         ++starts;
         msps += msp ? 1 : 0;
         next_start = pc + in.size;
@@ -464,6 +501,151 @@ TEST(Decoded, TableMatchesDecodeAtEveryInstructionOfEveryTableIApp) {
     }
     EXPECT_GT(starts, 0) << spec.name;
     EXPECT_GT(msps, 0) << spec.name;
+  }
+  for (int k = 0; k < bc::kNumFused; ++k) EXPECT_GT(fused_by_kind[k], 0) << "fused op " << k;
+}
+
+TEST(Decoded, FusedOpsFollowTheirPatternTable) {
+  for (int k = 0; k < bc::kNumFused; ++k) {
+    const bc::Superinstruction& s = bc::kSuperinstructions[k];
+    EXPECT_EQ(static_cast<int>(s.fused), bc::kNumOps + 1 + k);
+    EXPECT_TRUE(bc::is_fused(s.fused));
+    EXPECT_EQ(bc::plain_op(s.fused), s.seq[0]);
+  }
+  for (int op = 0; op <= bc::kNumOps; ++op) {
+    EXPECT_FALSE(bc::is_fused(static_cast<Op>(op)));
+    EXPECT_EQ(bc::plain_op(static_cast<Op>(op)), static_cast<Op>(op));
+  }
+}
+
+/// M.f(x): v = x; do v = v - 3 while (v > 0); return v, where the loop's
+/// back-edge targets the ICONST of `iload x; iconst 3; isub`.
+bc::Program backedge_program() {
+  ProgramBuilder pb;
+  auto& f = pb.cls("M").method("f", {{"x", Ty::I64}}, Ty::I64);
+  Label again = f.label();
+  f.stmt().iload("x");
+  f.bind(again).iconst(3).isub().dup().ifgt(again);
+  f.iret();
+  return pb.build();
+}
+
+TEST(Decoded, BackEdgeIntoASequenceLeavesItUnfused) {
+  auto p = backedge_program();
+  svm::VM vm(p, nullptr);
+  const auto& ops = vm.decoded().methods[p.find_method("M.f")].ops;
+  ASSERT_EQ(ops[0].op, Op::ILOAD);  // not fused: pc 3 is a branch target
+  ASSERT_EQ(ops[3].op, Op::ICONST);
+  for (int64_t x : {-4, 0, 1, 3, 10, 11, 100}) {
+    int64_t v = x;
+    do v -= 3;
+    while (v > 0);
+    EXPECT_EQ(vm.call("M.f", std::vector<Value>{Value::of_i64(x)}).as_i64(), v) << x;
+  }
+  // The same sequence with no branch into it is fused.
+  ProgramBuilder pb;
+  pb.cls("M").method("g", {{"x", Ty::I64}}, Ty::I64).stmt().iload("x").iconst(3).isub().iret();
+  auto q = pb.build();
+  svm::VM vq(q, nullptr);
+  EXPECT_EQ(vq.decoded().methods[q.find_method("M.g")].ops[0].op, bc::fused::ILOAD_ICONST_ISUB);
+  EXPECT_EQ(vq.call("M.g", std::vector<Value>{Value::of_i64(10)}).as_i64(), 7);
+}
+
+/// M.f(x, y) = (x - 3) / y, or x + 100 when y == 0: the divide sits in a
+/// try range whose ArithmeticException handler is at pc 3, the ICONST of
+/// `iload x; iconst 3; isub`, when `handler_mid_sequence`.  A handler there
+/// would not verify (it starts with the exception ref on the stack), so the
+/// handler pc is patched after the build, and only y != 0 runs it.
+bc::Program handler_program(bool handler_mid_sequence) {
+  ProgramBuilder pb;
+  auto& f = pb.cls("M").method("f", {{"x", Ty::I64}, {"y", Ty::I64}}, Ty::I64);
+  Label caught = f.label();
+  f.stmt().iload("x").iconst(3).isub();
+  const uint32_t from = f.here();
+  f.iload("y").idiv();
+  const uint32_t to = f.here();
+  f.iret();
+  f.bind(caught).pop().stmt().iload("x").iconst(100).iadd().iret();
+  f.ex_entry(from, to, caught, bc::builtin::kArithmetic);
+  auto p = pb.build();
+  if (handler_mid_sequence) p.method_mut(p.find_method("M.f")).ex_table[0].handler_pc = 3;
+  return p;
+}
+
+TEST(Decoded, HandlerInsideASequenceLeavesItUnfused) {
+  auto p = handler_program(false);
+  const uint16_t f = p.find_method("M.f");
+  svm::VM fused(p, nullptr);
+  EXPECT_EQ(fused.decoded().methods[f].ops[0].op, bc::fused::ILOAD_ICONST_ISUB);
+  EXPECT_EQ(fused.call("M.f", std::vector<Value>{Value::of_i64(17), Value::of_i64(0)}).as_i64(),
+            117);
+
+  auto q = handler_program(true);
+  svm::VM plain(q, nullptr);
+  EXPECT_EQ(plain.decoded().methods[f].ops[0].op, Op::ILOAD);
+  for (int64_t x : {-9, 0, 17, 40})
+    for (int64_t y : {-2, 1, 3}) {
+      std::vector<Value> args{Value::of_i64(x), Value::of_i64(y)};
+      EXPECT_EQ(plain.call("M.f", args).as_i64(), (x - 3) / y) << x << " " << y;
+      EXPECT_EQ(fused.call("M.f", args).as_i64(), (x - 3) / y) << x << " " << y;
+    }
+}
+
+TEST(Decoded, RewrittenHandlerPcGivesALaterVmAFreshTable) {
+  auto p = handler_program(false);
+  const uint16_t f = p.find_method("M.f");
+  svm::VM before(p, nullptr);
+  ASSERT_EQ(before.decoded().methods[f].ops[0].op, bc::fused::ILOAD_ICONST_ISUB);
+
+  // Only the handler pc moves, onto the sequence's ICONST: code, statement
+  // table and frame header are unchanged.
+  p.method_mut(f).ex_table[0].handler_pc = 3;
+  EXPECT_FALSE(before.decoded().matches(p));
+  svm::VM after(p, nullptr);
+  EXPECT_NE(&before.decoded(), &after.decoded());
+  EXPECT_TRUE(after.decoded().matches(p));
+  EXPECT_EQ(after.decoded().methods[f].ops[0].op, Op::ILOAD);
+  EXPECT_EQ(after.decoded().methods[f].handler_pcs, std::vector<uint32_t>{3});
+}
+
+/// Budget stops one and two instructions into a fused sequence land on the
+/// plain instructions, in fast and in debug mode.
+TEST(Decoded, BudgetStopsInsideAFusedSequence) {
+  ProgramBuilder pb;
+  auto& f = pb.cls("M").method("f", {{"x", Ty::I64}, {"y", Ty::I64}}, Ty::I64);
+  Label big = f.label();
+  f.stmt().iload("x").iconst(3).isub().istore("x");      // pcs 0, 3, 12
+  f.stmt().iload("x").iload("y").iadd().istore("y");     // pcs 16, 19, 22
+  f.stmt().iload("y").iconst(10).if_icmpge(big);         // pcs 26, 29, 38
+  f.stmt().iconst(-1).iret();
+  f.bind(big).stmt().iload("y").iret();
+  auto p = pb.build();
+  const uint16_t m = p.find_method("M.f");
+  for (bool debug : {false, true}) {
+    for (uint64_t first : {1, 2, 3}) {
+      svm::VM vm(p, nullptr);
+      vm.set_debug_mode(debug);
+      ASSERT_EQ(vm.decoded().methods[m].ops[0].op, bc::fused::ILOAD_ICONST_ISUB);
+      int tid = vm.spawn(m, std::vector<Value>{Value::of_i64(20), Value::of_i64(1)});
+      svm::RunResult rr = vm.run(tid, first);
+      ASSERT_EQ(rr.reason, StopReason::Budget);
+      EXPECT_EQ(rr.executed, first);
+      EXPECT_EQ(vm.instr_count(), first);
+      const uint32_t want_pc[] = {0, 3, 12, 13};
+      EXPECT_EQ(vm.thread(tid).frames.back().pc, want_pc[first]) << debug;
+      // Resume in slices of two: each slice ends one instruction into the
+      // next sequence or on its last instruction.
+      uint64_t total = first;
+      while ((rr = vm.run(tid, 2)).reason == StopReason::Budget) {
+        EXPECT_EQ(rr.executed, 2u);
+        total += rr.executed;
+      }
+      ASSERT_EQ(rr.reason, StopReason::Done);
+      total += rr.executed;
+      EXPECT_EQ(vm.thread(tid).result.as_i64(), 18);
+      EXPECT_EQ(vm.instr_count(), 13u);
+      EXPECT_EQ(total, 13u);
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // evaluator.  Straight-line expressions and nested calls are also run
 // through the flatten pass, which must preserve their results.  Structured
 // programs add branches, counted loops, calls (recursion included) and
-// field/array traffic.  Deterministic seeds keep failures reproducible.
+// field/array traffic; they are also run cut into slices of every budget,
+// which must stop on exact instruction counts whatever the interpreter
+// fuses.  Deterministic seeds keep failures reproducible.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +20,7 @@ namespace sod {
 namespace {
 
 using namespace sod::testing;
+using bc::Op;
 
 /// Generates a random expression program over k i64 parameters:
 /// emits the same computation into the builder and onto a host-side
@@ -575,6 +578,142 @@ TEST_P(RandomStructured, InterpreterMatchesHostEvaluator) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomStructured, ::testing::Range(0, 100));
+
+/// What a budget stop leaves observable of a thread: its frames and the
+/// live part of its value stack (every frame's locals and operands).
+struct Snapshot {
+  std::vector<svm::Frame> frames;
+  std::vector<Value> stack;
+
+  static Snapshot of(const svm::VM& vm, int tid) {
+    const svm::GuestThread& th = vm.thread(tid);
+    Snapshot s{th.frames, {}};
+    if (!th.frames.empty())
+      s.stack.assign(th.stack.begin(), th.stack.begin() + th.frames.back().sp);
+    return s;
+  }
+
+  /// Empty when equal, else what differs.
+  std::string diff(const Snapshot& o) const {
+    if (frames.size() != o.frames.size()) return "frame count";
+    for (size_t i = 0; i < frames.size(); ++i) {
+      const svm::Frame &a = frames[i], &b = o.frames[i];
+      if (a.method != b.method || a.pc != b.pc || a.base != b.base || a.sp != b.sp)
+        return numbered("frame ", i);
+    }
+    for (size_t i = 0; i < stack.size(); ++i)
+      if (!stack[i].same_as(o.stack[i])) return numbered("stack slot ", i);
+    return {};
+  }
+};
+
+/// Structured program `param` of the BudgetSlicing seeds and its arguments.
+struct SlicingCase {
+  uint64_t seed;
+  bc::Program p;
+  std::vector<Value> args;
+
+  explicit SlicingCase(int param) : seed(20000 + static_cast<uint64_t>(param)) {
+    ProgGen gen(seed);
+    gen.generate(1 + param % 3);
+    ProgramBuilder pb;
+    Emitter{gen}.emit(pb);
+    p = pb.build();
+    Rng argrng(seed * 31);
+    for (int i = 0; i < 3; ++i) args.push_back(Value::of_i64(argrng.range(-100, 100)));
+  }
+
+  int spawn(svm::VM& vm, bool debug) const {
+    vm.set_debug_mode(debug);
+    return vm.spawn(p.find_method("P.main"), args);
+  }
+};
+
+/// The fused op at `tid`'s next instruction, or kOpCount_.
+Op fused_next(const svm::VM& vm, int tid) {
+  const svm::Frame& top = vm.thread(tid).frames.back();
+  const Op op = vm.decoded().methods[top.method].ops[top.pc].op;
+  return bc::is_fused(op) ? op : Op::kOpCount_;
+}
+
+constexpr int kSlicingSeeds = 12;
+
+class BudgetSlicing : public ::testing::TestWithParam<int> {};
+
+// Fused sequences run only when the budget has room for all of them, so a
+// run cut into slices of any budget stops at exactly the budget and leaves
+// the state that running one instruction at a time leaves at that count.
+// Every budget from 1 to the run's instruction count is tried, which ends
+// a slice one and two instructions into every fused sequence executed.
+TEST_P(BudgetSlicing, EveryBudgetMatchesAnUnslicedRun) {
+  const SlicingCase c(GetParam());
+  const uint64_t seed = c.seed;
+  for (bool debug : {false, true}) {
+    SCOPED_TRACE(debug ? "debug mode" : "fast mode");
+    svm::VM whole(c.p, nullptr);
+    int tid = c.spawn(whole, debug);
+    ASSERT_EQ(whole.run(tid).reason, svm::StopReason::Done);
+    const int64_t result = whole.thread(tid).result.as_i64();
+    const uint64_t n = whole.instr_count();
+
+    // One instruction per slice: the state after every instruction, and
+    // the counts at which a fused sequence starts.
+    std::vector<Snapshot> after(n);
+    std::vector<uint64_t> fused_at;
+    svm::VM stepped(c.p, nullptr);
+    tid = c.spawn(stepped, debug);
+    for (uint64_t k = 1; k < n; ++k) {
+      if (fused_next(stepped, tid) != Op::kOpCount_) fused_at.push_back(k - 1);
+      ASSERT_EQ(stepped.run(tid, 1).reason, svm::StopReason::Budget);
+      after[k] = Snapshot::of(stepped, tid);
+    }
+    ASSERT_EQ(stepped.run(tid, 1).reason, svm::StopReason::Done);
+    EXPECT_EQ(stepped.thread(tid).result.as_i64(), result);
+    EXPECT_EQ(stepped.instr_count(), n);
+
+    std::vector<bool> stopped_at(n + 1, false);
+    for (uint64_t budget = 2; budget <= n; ++budget) {
+      svm::VM vm(c.p, nullptr);
+      tid = c.spawn(vm, debug);
+      uint64_t total = 0;
+      svm::RunResult rr;
+      while ((rr = vm.run(tid, budget)).reason == svm::StopReason::Budget) {
+        ASSERT_EQ(rr.executed, budget) << "seed " << seed;
+        total += rr.executed;
+        stopped_at[total] = true;
+        const std::string d = Snapshot::of(vm, tid).diff(after[total]);
+        ASSERT_TRUE(d.empty()) << "seed " << seed << " budget " << budget << " after "
+                               << total << " instructions: " << d;
+      }
+      ASSERT_EQ(rr.reason, svm::StopReason::Done) << "seed " << seed;
+      total += rr.executed;
+      EXPECT_EQ(vm.thread(tid).result.as_i64(), result) << "seed " << seed << " budget " << budget;
+      EXPECT_EQ(vm.instr_count(), n) << "seed " << seed << " budget " << budget;
+      EXPECT_EQ(total, n) << "seed " << seed << " budget " << budget;
+    }
+    for (uint64_t t : fused_at) {
+      EXPECT_TRUE(t + 1 >= n || stopped_at[t + 1]) << "no stop one into the sequence at " << t;
+      EXPECT_TRUE(t + 2 >= n || stopped_at[t + 2]) << "no stop two into the sequence at " << t;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BudgetSlicing, ::testing::Range(0, kSlicingSeeds));
+
+/// The slicing seeds must execute every fused op.
+TEST(BudgetSlicingSeeds, RunEveryFusedOp) {
+  int runs[bc::kNumFused] = {};
+  for (int i = 0; i < kSlicingSeeds; ++i) {
+    const SlicingCase c(i);
+    svm::VM vm(c.p, nullptr);
+    const int tid = c.spawn(vm, false);
+    do {
+      const Op op = fused_next(vm, tid);
+      if (op != Op::kOpCount_) ++runs[static_cast<int>(op) - bc::kNumOps - 1];
+    } while (vm.run(tid, 1).reason == svm::StopReason::Budget);
+  }
+  for (int k = 0; k < bc::kNumFused; ++k) EXPECT_GE(runs[k], 10) << "fused op " << k;
+}
 
 /// The seeds above must exercise every construct, recursion included.
 TEST(RandomStructuredGenerator, SeedsCoverEveryConstruct) {
