@@ -226,9 +226,8 @@ EagerTiming thread_migrate(SodNode& home, int home_tid, SodNode& dest, sim::Link
     for (size_t s = 0; s < hlocals.size(); ++s) {
       const Value& v = hlocals[s];
       if (v.tag == Ty::Ref && v.r != bc::kNull) {
-        Ref stub = dest.vm().heap().alloc_stub(0);
-        om->register_local_stub(stub, i, static_cast<uint16_t>(s));
-        f.locals.push_back(Value::of_ref(stub));
+        f.locals.push_back(Value::of_ref(dest.vm().heap().alloc_stub(
+            svm::StubCell::of_local(om->home_depth(i), static_cast<uint16_t>(s)))));
       } else {
         f.locals.push_back(v);
       }

@@ -94,20 +94,17 @@ void Segment::install_cs_natives() {
     const Value& v = cursor().frame->locals[static_cast<size_t>(a[0].i)];
     return Value::of_f64(v.tag == bc::Ty::F64 ? v.d : 0.0);
   });
-  reg.bind("cs.read_ref", [cursor, node](svm::VM& vm, std::span<Value> a) {
+  reg.bind("cs.read_ref", [cursor](svm::VM& vm, std::span<Value> a) {
     const Cursor& cur = cursor();
     const Value& v = cur.frame->locals[static_cast<size_t>(a[0].i)];
     if (v.tag != bc::Ty::Ref || v.r == bc::kNull) return Value::null();
     // Checkpoint states carry real home ids: the stub resolves directly
     // against the home heap, no suspended-frame lookup needed.
     if (cur.home_refs) return Value::of_ref(vm.heap().alloc_stub(v.r));
-    // Non-null at the home: materialize as a stub resolvable through the
-    // suspended home frame (GetLocal).
-    Ref stub = vm.heap().alloc_stub(0);
-    const auto& frames = vm.thread(vm.native_tid()).frames;
-    node->segment()->om_.register_local_stub(stub, static_cast<int>(frames.size()) - 1,
-                                             static_cast<uint16_t>(a[0].i));
-    return Value::of_ref(stub);
+    // Non-null at the home: a stub for the suspended home frame's local,
+    // resolved through GetLocal.
+    const auto slot = static_cast<uint16_t>(a[0].i);
+    return Value::of_ref(vm.heap().alloc_stub(svm::StubCell::of_local(cur.home_depth, slot)));
   });
   reg.bind("cs.read_pc", [cursor](svm::VM&, std::span<Value>) {
     return Value::of_i64(cursor().frame->pc);
@@ -126,27 +123,23 @@ void Segment::restore(const CapturedState& cs) {
   cursor_.home_refs = cs.home_refs;
 
   // Restore class static data (SetStatic<Type>Field in the paper); class
-  // loads may fetch class images on demand.
+  // loads may fetch class images on demand.  A ref static becomes a stub
+  // for its home field, so copies of it (e.g. a static array cached into
+  // a local) stay resolvable after another restore re-plants the statics.
   for (const auto& st : cs.statics) {
     vm.ensure_loaded(st.cls);
+    const bc::Class& cls = P.cls(st.cls);
+    SOD_CHECK(st.values.size() == cls.num_static_slots, "statics size mismatch");
     std::vector<Value> vals = st.values;
-    for (size_t slot = 0; slot < vals.size(); ++slot) {
-      Value& v = vals[slot];
+    for (uint16_t fid : cls.field_ids) {
+      const bc::Field& f = P.field(fid);
+      if (!f.is_static) continue;
+      Value& v = vals[f.slot];
       if (v.tag != bc::Ty::Ref || v.r == bc::kNull) continue;
-      if (cs.home_refs) {
-        // Checkpoint statics hold real home ids; the stub carries the id.
+      if (cs.home_refs)  // checkpoint statics hold real home ids
         v = Value::of_ref(vm.heap().alloc_stub(v.r));
-        continue;
-      }
-      if (v.r != kRemoteMark) continue;
-      Ref stub = vm.heap().alloc_stub(0);
-      v = Value::of_ref(stub);
-      // Register the stub's identity so copies of it (e.g. a static array
-      // cached into a local) stay resolvable.
-      for (uint16_t fid : P.cls(st.cls).field_ids) {
-        const bc::Field& f = P.field(fid);
-        if (f.is_static && f.slot == slot) om_.register_static_stub(stub, fid);
-      }
+      else if (v.r == kRemoteMark)
+        v = Value::of_ref(vm.heap().alloc_stub(svm::StubCell::of_static(fid)));
     }
     vm.overwrite_statics(st.cls, std::move(vals));
   }
@@ -174,6 +167,7 @@ void Segment::restore(const CapturedState& cs) {
     SOD_CHECK(top.method == cs.frames[i].method && top.pc == 0, "restore: wrong frame");
     if (i + 1 < cs.frames.size()) ti.set_breakpoint(cs.frames[i + 1].method, 0);
     cursor_.frame = &cs.frames[i];
+    cursor_.home_depth = om_.home_depth(static_cast<int>(i));
     ti.raise_exception(tid_, bc::builtin::kInvalidState, "restore");
     // Java-level (reflection-based) restoration on devices without a tool
     // interface pays a heavy per-frame cost (Table VII).

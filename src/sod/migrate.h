@@ -9,6 +9,7 @@
 //               breakpoint at the method entry, throw InvalidStateException,
 //               the injected handler re-reads locals + pc and jumps; the
 //               re-executed statement re-invokes the next frame's method.
+//               Non-null refs become stubs naming the home local or static.
 //   run       : fast mode; object misses repair themselves through the
 //               object manager's fault natives.
 //   write-back: updated objects + the segment's return value go home; home
@@ -54,7 +55,8 @@ class Segment {
   explicit Segment(SodNode& dest);
 
   /// Restore `cs` on the destination (breakpoint + InvalidStateException
-  /// protocol).  Leaves the thread ready: run() executes it.
+  /// protocol).  Leaves the thread ready: run() executes it.  Bind
+  /// objman() first: local stubs record their binding's home depth.
   void restore(const CapturedState& cs);
 
   /// For lower segments (Fig. 1b/1c): run until the pending call of the
@@ -81,8 +83,10 @@ class Segment {
   ObjectManager& objman() { return om_; }
 
  private:
+  /// The frame the cs.* natives read, and its home depth.
   struct Cursor {
     const CapturedFrame* frame = nullptr;
+    int home_depth = -1;
     bool home_refs = false;
   };
   void install_cs_natives();

@@ -60,9 +60,6 @@ void ObjectManager::bind_home(SodNode* home, int home_tid, int seg_len, sim::Lin
   link_ = link;
   for (auto& part : home_parts_) part.clear();
   local_map_.clear();
-  side_.clear();
-  local_stub_origin_.clear();
-  static_stub_origin_.clear();
   enter_state_.clear();
 }
 
@@ -93,35 +90,20 @@ Ref ObjectManager::local_of_home(Ref home_ref) const {
   return it == part.end() ? bc::kNull : it->second;
 }
 
-void ObjectManager::register_local_stub(Ref stub, int frame_idx, uint16_t slot) {
-  local_stub_origin_[stub] = {frame_idx, slot};
-}
-
-void ObjectManager::register_static_stub(Ref stub, uint16_t field_id) {
-  static_stub_origin_[stub] = field_id;
-}
-
 Ref ObjectManager::resolve_stub_home(Ref stub) {
   SOD_CHECK(worker_, "resolve_stub_home without worker");
-  Ref direct = worker_->vm().heap().stub_home(stub);
-  if (direct != bc::kNull) return direct;
-  if (!home_) return bc::kNull;
-  // Origin lookups are worker-local; only the tool-interface read on home
-  // runs inside a gate section (keyed by the field / slot the stub stands
-  // for — any stable key works, it only picks the stripe).
-  if (auto sit = static_stub_origin_.find(stub); sit != static_stub_origin_.end()) {
-    GateSection gate(home_gate_, HomeShardMap::key_class(sit->second));
-    Value hv = home_->ti().get_static_field(sit->second);
-    home_->sync_ti_cost();
-    return hv.tag == bc::Ty::Ref ? hv.r : bc::kNull;
-  }
-  auto it = local_stub_origin_.find(stub);
-  if (it == local_stub_origin_.end()) return bc::kNull;
-  auto [frame_idx, slot] = it->second;
-  if (frame_idx >= seg_len_) return bc::kNull;
-  int home_depth = seg_len_ - 1 - frame_idx;
-  GateSection gate(home_gate_, HomeShardMap::key_segment(frame_idx, slot));
-  Value hv = home_->ti().get_local(home_tid_, home_depth, slot);
+  const svm::StubCell& s = worker_->vm().heap().stub(stub);
+  using Kind = svm::StubCell::Kind;
+  if (s.kind == Kind::HomeRef) return s.home_ref;
+  if (!home_ || (s.kind == Kind::Local && s.depth < 0)) return bc::kNull;
+  // The tool-interface read on home runs inside a gate section keyed by
+  // the field / slot the stub stands for (any stable key works, it only
+  // picks the stripe).
+  const bool is_static = s.kind == Kind::Static;
+  GateSection gate(home_gate_, is_static ? HomeShardMap::key_class(s.id)
+                                         : HomeShardMap::key_segment(s.depth, s.id));
+  Value hv = is_static ? home_->ti().get_static_field(s.id)
+                       : home_->ti().get_local(home_tid_, s.depth, s.id);
   home_->sync_ti_cost();
   return hv.tag == bc::Ty::Ref ? hv.r : bc::kNull;
 }
@@ -184,10 +166,7 @@ Ref ObjectManager::fetch(Ref home_ref) {
   Ref first = bc::kNull;
   for (uint16_t i = 0; i < n; ++i) {
     Ref home_id = r.u32();
-    Ref local = worker_->vm().heap().deserialize_shallow(
-        r, [this](Ref holder, uint32_t slot, Ref home_embedded) {
-          side_[side_key(holder, slot)] = home_embedded;
-        });
+    Ref local = worker_->vm().heap().deserialize_shallow(r, {});
     SOD_CHECK(local != bc::kNull, "worker heap exhausted during object fetch");
     home_part(home_id)[home_id] = local;
     local_map_[local] = home_id;

@@ -5,11 +5,14 @@
 //   bring_local  -> home reads the suspended frame's local via the tool
 //                   interface (GetLocal) and serializes the object
 //   bring_static -> home reads the static field
-//   bring_field / bring_elem -> resolved through the side table built when
-//                   the holder was deserialized (embedded refs arrive
-//                   nulled, each recorded as (holder, slot) -> home ref)
+//   bring_field / bring_elem -> the stub in the slot carries the home ref
+//                   (embedded refs arrive as stubs when the holder is
+//                   deserialized)
 // Fetches are shallow: one object per round trip, references inside it
-// null out and fault later — the paper's "heap-on-demand".
+// arrive as stubs and fault later — the paper's "heap-on-demand".
+// Every stub says what it stands for (svm::StubCell), so any manager bound
+// to the home thread resolves any stub on the worker, including those
+// another segment of the same round planted there.
 //
 // objman.enter implements the paper's application-NPE passthrough: if a
 // statement retries without any repair making progress, the NPE is a real
@@ -30,7 +33,6 @@
 // it the home-side creation ids) is identical at any shard count.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,9 +60,12 @@ class ObjectManager {
 
   /// Bind to the home node whose thread `home_tid` holds the suspended
   /// segment: the worker's bottom `seg_len` frames mirror home's top
-  /// `seg_len` frames.
+  /// `seg_len` frames.  Bind before restoring: restoration plants each
+  /// captured local's stub at the home depth this binding gives it.
   void bind_home(SodNode* home, int home_tid, int seg_len, sim::Link link);
-  void unbind_home() { home_ = nullptr; }
+  /// Home stack depth (0 = top) of worker frame `frame_idx` (0 = segment
+  /// bottom) under the binding; negative outside it.
+  int home_depth(int frame_idx) const { return seg_len_ - 1 - frame_idx; }
 
   /// Run every home-side touch (tool-interface reads, object fetch round
   /// trips) inside a section of `gate`.  The wall-clock engine installs
@@ -105,15 +110,10 @@ class ObjectManager {
   void set_prefetch_depth(int depth) { prefetch_depth_ = depth; }
   int prefetch_depth() const { return prefetch_depth_; }
 
-  /// Record that `stub` stands for the home value of (frame_idx, slot) of
-  /// the migrated segment (set while the restoration handler runs).
-  void register_local_stub(Ref stub, int frame_idx, uint16_t slot);
-  /// Record that `stub` stands for the home value of static `field_id`
-  /// (set when statics are restored at the destination).
-  void register_static_stub(Ref stub, uint16_t field_id);
-  /// Home ref a stub stands for: from the stub itself (deserialized
-  /// objects) or via GetLocal on the suspended home frame (captured
-  /// locals).  kNull if unresolvable.
+  /// Home ref a stub stands for: carried by the stub (HomeRef), or read at
+  /// home through the tool interface — GetStaticField for a captured
+  /// static, GetLocal on the suspended home frame for a captured local.
+  /// kNull if unresolvable.
   Ref resolve_stub_home(Ref stub);
   /// Reverse map: home ref of a fetched local object (kNull if local-new).
   Ref home_of_local(Ref local) const {
@@ -122,10 +122,6 @@ class ObjectManager {
   }
 
  private:
-  static uint64_t side_key(Ref holder, uint32_t slot) {
-    return (static_cast<uint64_t>(holder) << 32) | slot;
-  }
-
   void bring_local(svm::VM& vm, int64_t slot);
   void bring_static(svm::VM& vm, int64_t field_id);
   void bring_field(svm::VM& vm, Ref base, int64_t field_id);
@@ -152,9 +148,6 @@ class ObjectManager {
   /// home -> local, partitioned by shard_map_ (one partition without one).
   std::vector<std::unordered_map<Ref, Ref>> home_parts_{1};
   std::unordered_map<Ref, Ref> local_map_;  // local -> home
-  std::unordered_map<uint64_t, Ref> side_;  // (holder, slot) -> home ref
-  std::unordered_map<Ref, std::pair<int, uint16_t>> local_stub_origin_;  // stub -> (frame, slot)
-  std::unordered_map<Ref, uint16_t> static_stub_origin_;  // stub -> static field id
 
   // no-progress retry detection (per worker thread); progress counts
   // *repair actions* (slots actually filled in), so cache-hit repairs on

@@ -69,7 +69,7 @@ Ref Heap::alloc_str(std::string s) {
   return push_cell(Cell(StrCell{std::move(s)}), b);
 }
 
-Ref Heap::alloc_stub(Ref home_ref) { return push_cell(Cell(StubCell{home_ref}), 8); }
+Ref Heap::alloc_stub(StubCell stub) { return push_cell(Cell(stub), 8); }
 
 void Heap::replace_stub(Ref stub, Cell materialized) {
   SOD_CHECK(is_stub(stub), "replace_stub on non-stub");

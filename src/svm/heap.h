@@ -9,8 +9,8 @@
 //
 // Serialization comes in two flavours mirroring the two migration schools:
 //   - serialize_shallow: one cell; embedded refs are encoded as *home ref
-//     ids* and materialize as nulls + side-table entries at the receiver
-//     (SOD's on-demand object faulting).
+//     ids* and materialize as stubs carrying them at the receiver (SOD's
+//     on-demand object faulting).
 //   - serialize_graph: the full reachable closure (eager-copy process
 //     migration à la G-JavaMPI).
 #pragma once
@@ -37,11 +37,20 @@ using bc::Value;
 /// Stubs look non-null to reference tests (preserving `if (x == null)`
 /// semantics across migration) but raise NullPointerException on any
 /// dereference, which drives the injected fault handlers exactly like the
-/// paper's plain-null scheme.  `home_ref` is the home-heap id when known
-/// (stubs from deserialized objects) or 0 (stubs standing for captured
-/// frame locals, resolved via GetLocal at the home).
+/// paper's plain-null scheme.  A stub says what it stands for in home
+/// coordinates, so any object manager bound to the home thread resolves
+/// it: a home object (HomeRef: `home_ref`), a home static (Static: field
+/// `id`), or local slot `id` of the home frame `depth` below the top
+/// (Local; a negative depth lies outside the planting binding).
 struct StubCell {
+  enum class Kind : uint8_t { HomeRef, Static, Local };
+  Kind kind = Kind::HomeRef;
+  uint16_t id = 0;
+  int32_t depth = 0;
   Ref home_ref = 0;
+
+  static StubCell of_static(uint16_t field_id) { return {Kind::Static, field_id, 0, 0}; }
+  static StubCell of_local(int depth, uint16_t slot) { return {Kind::Local, slot, depth, 0}; }
 };
 
 struct ObjCell {
@@ -74,10 +83,13 @@ class Heap {
   Ref alloc_arr_d(size_t n);
   Ref alloc_arr_r(size_t n);
   Ref alloc_str(std::string s);
-  Ref alloc_stub(Ref home_ref);
+  Ref alloc_stub(StubCell stub);
+  Ref alloc_stub(Ref home_ref) { return alloc_stub({StubCell::Kind::HomeRef, 0, 0, home_ref}); }
 
   bool is_stub(Ref r) const { return std::holds_alternative<StubCell>(cell(r)); }
-  Ref stub_home(Ref r) const { return std::get<StubCell>(cell(r)).home_ref; }
+  const StubCell& stub(Ref r) const { return as<StubCell>(r, "ref is not a stub"); }
+  /// Home ref of a HomeRef stub (kNull for the other kinds).
+  Ref stub_home(Ref r) const { return stub(r).home_ref; }
   /// Replace a stub in place with the materialized cell `from` (so every
   /// existing reference to the stub sees the real object).
   void replace_stub(Ref stub, Cell materialized);

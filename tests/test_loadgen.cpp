@@ -292,6 +292,30 @@ TEST(LoadGenTest, PerTenantExactlyOnceUnderWorkerLoss) {
   for (const auto& tn : r.tenants) EXPECT_EQ(tn.completed, tn.sessions) << tn.tenant;
 }
 
+TEST(LoadGenTest, OneWorkerHostsEverySegmentOfEveryRound) {
+  // One worker: every round's segments restore side by side on it, and
+  // sessions of every app and tenant reuse its statics and heap.
+  TraceConfig cfg;
+  cfg.sessions = 16;
+  cfg.apps = 4;
+  cfg.seed = 7;
+  Trace tr = sod::cluster::make_trace(cfg);
+  for (int segments : {2, 3}) {
+    for (bool wall : {false, true}) {
+      SCOPED_TRACE("segments=" + std::to_string(segments) + (wall ? " wall" : " virtual"));
+      LoadGenOptions opts;
+      opts.workers = {{"solo", {}, sod::sim::Link::gigabit()}};
+      opts.segments_per_round = segments;
+      opts.wallclock = wall;
+      opts.dilation = 0;
+      auto r = sod::cluster::run_loadgen(tr, opts);
+      EXPECT_TRUE(r.all_ok);
+      EXPECT_TRUE(r.exactly_once);
+      EXPECT_GT(r.segments, tr.cfg.sessions);
+    }
+  }
+}
+
 TEST(LoadGenTest, TenantAccountingSumsToTotals) {
   TraceConfig cfg;
   cfg.sessions = 20;

@@ -275,6 +275,74 @@ TEST(Migrate, TotalMigrationFig1b) {
   EXPECT_EQ(final.as_i64(), fib_ref(12));
 }
 
+/// A static array read through a local copy two frames up the stack:
+///   init():  S.data = new i64[3]; S.data[1] = 7
+///   leaf(k): arr = S.data; return arr[k]
+///   mid(k):  return leaf(k) + 1
+///   main():  init(); return mid(1)
+bc::Program static_copy_program() {
+  ProgramBuilder pb;
+  auto& s = pb.cls("S");
+  s.field("data", Ty::Ref, /*is_static=*/true);
+  auto& init = s.method("init", {}, Ty::I64);
+  init.stmt().iconst(3).newarray(Ty::I64).putstatic("S.data");
+  init.stmt().getstatic("S.data").iconst(1).iconst(7).iastore();
+  init.stmt().iconst(0).iret();
+  auto& leaf = s.method("leaf", {{"k", Ty::I64}}, Ty::I64);
+  uint16_t arr = leaf.local("arr", Ty::Ref);
+  leaf.stmt().getstatic("S.data").astore(arr);
+  leaf.stmt().aload(arr).iload("k").iaload().iret();
+  auto& mid = s.method("mid", {{"k", Ty::I64}}, Ty::I64);
+  mid.stmt().iload("k").invoke("S.leaf").iconst(1).iadd().iret();
+  auto& mn = s.method("main", {}, Ty::I64);
+  mn.stmt().invoke("S.init").pop();
+  mn.stmt().iconst(1).invoke("S.mid").iret();
+  return pb.build();
+}
+
+TEST(Migrate, CoResidentSegmentsResolveEachOthersStaticStubs) {
+  // Two segments of one home thread restored onto one node: the second
+  // restore re-plants the node's statics, and the first segment must
+  // still resolve what it finds there — through a local copy while it
+  // runs, and in its write-back of the statics.
+  auto p = static_copy_program();
+  prep::preprocess_program(p);
+  SodNode home("home", p, {});
+  SodNode dest("dest", p, {});
+  const sim::Link link = sim::Link::gigabit();
+  int tid = home.vm().spawn(p.find_method("S.main"), {});
+  ASSERT_TRUE(mig::pause_at_depth(home, tid, p.find_method("S.leaf"), 3));
+  auto csA = mig::capture_segment(home, tid, mig::SegmentSpec{0, 1});
+  auto csB = mig::capture_segment(home, tid, mig::SegmentSpec{1, 2});
+  home.ti().set_debug_enabled(false);
+
+  mig::Segment segA(dest);
+  segA.objman().bind_home(&home, tid, 1, link);
+  segA.restore(csA);
+  mig::Segment segB(dest);
+  segB.objman().bind_home(&home, tid, 2, link);
+  segB.restore(csB);
+
+  const uint16_t data = p.find_field("S.data");
+  const bc::Ref planted = dest.vm().get_static(data).r;
+  ASSERT_TRUE(dest.vm().heap().is_stub(planted));
+  const bc::Ref home_data = home.vm().get_static(data).r;
+  ASSERT_EQ(segA.objman().resolve_stub_home(planted), home_data);
+  EXPECT_EQ(segB.objman().resolve_stub_home(planted), home_data);
+
+  Value a = segA.run_to_completion();
+  EXPECT_EQ(a.as_i64(), 7);
+  mig::write_back(segA, home, tid, 0, a, link);
+  segB.deliver(a);
+  Value b = segB.run_to_completion();
+  EXPECT_EQ(b.as_i64(), 8);
+  mig::write_back(segB, home, tid, 2, b, link);
+  // The write-backs pointed S.data back at the original home array.
+  EXPECT_EQ(home.vm().get_static(data).r, home_data);
+  ASSERT_EQ(home.run_guest(tid).reason, svm::StopReason::Done);
+  EXPECT_EQ(home.vm().thread(tid).result.as_i64(), 8);
+}
+
 TEST(Migrate, WorkflowFig1cAcrossThreeNodes) {
   // Fig. 1(c): frame 1 -> node 2, frames 2..3 -> node 3, control flows
   // 1 -> 2 -> 3.  The lower segment restores on node 3 concurrently, so

@@ -638,16 +638,48 @@ Op fused_next(const svm::VM& vm, int tid) {
 
 constexpr int kSlicingSeeds = 12;
 
+/// Runs `c` in chained slices, a first slice of `first` instructions and
+/// then slices of `budget`, and checks at every stop that the slice ran
+/// exactly its budget and left the state a run stepped one instruction at
+/// a time leaves at that count (stepped in lockstep).  Marks each count it
+/// stopped at in `stopped_at`.
+void expect_slices_match_stepping(const SlicingCase& c, bool debug, uint64_t first,
+                                  uint64_t budget, int64_t result, uint64_t n,
+                                  std::vector<bool>& stopped_at) {
+  SCOPED_TRACE("seed " + std::to_string(c.seed) + " first slice " + std::to_string(first) +
+               " then " + std::to_string(budget));
+  svm::VM vm(c.p, nullptr), stepped(c.p, nullptr);
+  const int tid = c.spawn(vm, debug);
+  const int ref = c.spawn(stepped, debug);
+  uint64_t total = 0, slice = first;
+  svm::RunResult rr;
+  while ((rr = vm.run(tid, slice)).reason == svm::StopReason::Budget) {
+    ASSERT_EQ(rr.executed, slice);
+    total += slice;
+    stopped_at[total] = true;
+    while (stepped.instr_count() < total)
+      ASSERT_EQ(stepped.run(ref, 1).reason, svm::StopReason::Budget);
+    const std::string d = Snapshot::of(vm, tid).diff(Snapshot::of(stepped, ref));
+    ASSERT_TRUE(d.empty()) << "after " << total << " instructions: " << d;
+    slice = budget;
+  }
+  ASSERT_EQ(rr.reason, svm::StopReason::Done);
+  EXPECT_EQ(vm.thread(tid).result.as_i64(), result);
+  EXPECT_EQ(vm.instr_count(), n);
+  EXPECT_EQ(total + rr.executed, n);
+}
+
 class BudgetSlicing : public ::testing::TestWithParam<int> {};
 
 // Fused sequences run only when the budget has room for all of them, so a
 // run cut into slices of any budget stops at exactly the budget and leaves
 // the state that running one instruction at a time leaves at that count.
-// Every budget from 1 to the run's instruction count is tried, which ends
-// a slice one and two instructions into every fused sequence executed.
-TEST_P(BudgetSlicing, EveryBudgetMatchesAnUnslicedRun) {
+// Chained slices of 2 and 3 from every start offset stop at every count
+// (ending a slice one and two instructions into every fused sequence
+// executed, and giving each sequence both too little and exactly enough
+// room); a few long budgets cover slices that run many fused sequences.
+TEST_P(BudgetSlicing, ChainedSlicesMatchASteppedRun) {
   const SlicingCase c(GetParam());
-  const uint64_t seed = c.seed;
   for (bool debug : {false, true}) {
     SCOPED_TRACE(debug ? "debug mode" : "fast mode");
     svm::VM whole(c.p, nullptr);
@@ -656,41 +688,24 @@ TEST_P(BudgetSlicing, EveryBudgetMatchesAnUnslicedRun) {
     const int64_t result = whole.thread(tid).result.as_i64();
     const uint64_t n = whole.instr_count();
 
-    // One instruction per slice: the state after every instruction, and
-    // the counts at which a fused sequence starts.
-    std::vector<Snapshot> after(n);
+    // One instruction per slice: the counts at which a fused sequence
+    // starts.
     std::vector<uint64_t> fused_at;
     svm::VM stepped(c.p, nullptr);
     tid = c.spawn(stepped, debug);
-    for (uint64_t k = 1; k < n; ++k) {
-      if (fused_next(stepped, tid) != Op::kOpCount_) fused_at.push_back(k - 1);
-      ASSERT_EQ(stepped.run(tid, 1).reason, svm::StopReason::Budget);
-      after[k] = Snapshot::of(stepped, tid);
-    }
-    ASSERT_EQ(stepped.run(tid, 1).reason, svm::StopReason::Done);
+    do {
+      if (fused_next(stepped, tid) != Op::kOpCount_) fused_at.push_back(stepped.instr_count());
+    } while (stepped.run(tid, 1).reason == svm::StopReason::Budget);
     EXPECT_EQ(stepped.thread(tid).result.as_i64(), result);
     EXPECT_EQ(stepped.instr_count(), n);
 
     std::vector<bool> stopped_at(n + 1, false);
-    for (uint64_t budget = 2; budget <= n; ++budget) {
-      svm::VM vm(c.p, nullptr);
-      tid = c.spawn(vm, debug);
-      uint64_t total = 0;
-      svm::RunResult rr;
-      while ((rr = vm.run(tid, budget)).reason == svm::StopReason::Budget) {
-        ASSERT_EQ(rr.executed, budget) << "seed " << seed;
-        total += rr.executed;
-        stopped_at[total] = true;
-        const std::string d = Snapshot::of(vm, tid).diff(after[total]);
-        ASSERT_TRUE(d.empty()) << "seed " << seed << " budget " << budget << " after "
-                               << total << " instructions: " << d;
-      }
-      ASSERT_EQ(rr.reason, svm::StopReason::Done) << "seed " << seed;
-      total += rr.executed;
-      EXPECT_EQ(vm.thread(tid).result.as_i64(), result) << "seed " << seed << " budget " << budget;
-      EXPECT_EQ(vm.instr_count(), n) << "seed " << seed << " budget " << budget;
-      EXPECT_EQ(total, n) << "seed " << seed << " budget " << budget;
-    }
+    for (uint64_t budget : {2, 3})
+      for (uint64_t offset = 0; offset < budget; ++offset)
+        expect_slices_match_stepping(c, debug, offset == 0 ? budget : offset, budget, result, n,
+                                     stopped_at);
+    for (uint64_t budget : {7, 61, 997})
+      expect_slices_match_stepping(c, debug, budget, budget, result, n, stopped_at);
     for (uint64_t t : fused_at) {
       EXPECT_TRUE(t + 1 >= n || stopped_at[t + 1]) << "no stop one into the sequence at " << t;
       EXPECT_TRUE(t + 2 >= n || stopped_at[t + 2]) << "no stop two into the sequence at " << t;

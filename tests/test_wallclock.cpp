@@ -6,7 +6,8 @@
 // speculation; a guest waits only for its own state, never for another
 // segment's ship or a checkpoint's apply window; and a stressed engine —
 // membership churn between rounds plus a mid-round worker loss — still
-// executes every segment exactly once.
+// executes every segment exactly once; and every segment of a round placed
+// on one worker (then moved to one survivor) computes the home-only result.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -172,6 +173,16 @@ class WindowRecorder : public Scheduler {
   void completed(size_t /*i*/, int /*w*/, VDur /*apply*/) override {}
 };
 
+/// Places every segment on the first accepting worker.
+struct PinFirst final : PlacementPolicy {
+  const char* name() const override { return "pin_first"; }
+  int choose(const Cluster& c, const PlacementRequest&) override {
+    for (int w = 0; w < c.size(); ++w)
+      if (c.accepting(w)) return w;
+    return -1;
+  }
+};
+
 /// Dispatch options plus a worker-loss plan for run_app.
 struct RunConfig {
   DispatchOptions dispatch{};
@@ -182,6 +193,9 @@ struct RunConfig {
   bool straggler = false;
   int workers = 3;
   PolicyKind policy = PolicyKind::LeastLoaded;
+  /// Place every segment on the first accepting worker instead of by
+  /// `policy`, so all segments of a round share one worker.
+  bool pin_first = false;
   /// Segments per round; 0 = the CLI driver's split.
   int segments = 0;
   /// WallClockOptions::home_dilation of the wall engine.
@@ -206,7 +220,8 @@ AppOutcome run_app(const apps::AppSpec& spec, int threads, int shards = 0,
     c.add_uniform_workers(rc.workers);
   }
   if (shards > 0) c.set_home_shards(shards);
-  auto pol = make_policy(rc.policy);
+  std::unique_ptr<PlacementPolicy> pol =
+      rc.pin_first ? std::make_unique<PinFirst>() : make_policy(rc.policy);
 
   std::unique_ptr<Scheduler> sched;
   WindowRecorder* recorder = nullptr;
@@ -339,6 +354,64 @@ TEST(WallClock, LossCheckpointAndSpeculationRunsMatchTheVirtualSchedulerBitForBi
       }
     }
   }
+}
+
+/// The app's bench-scale result run at home alone, never migrated.
+int64_t home_only_result(const apps::AppSpec& spec) {
+  bc::Program p = spec.build();
+  prep::preprocess_program(p);
+  mig::SodNode node("home", p, {});
+  mig::ObjectManager om;
+  om.install(node);
+  return node.call_guest(spec.entry, spec.bench_args).as_i64();
+}
+
+/// Every Table I app at 2 and 3 segments per round, on both engines, with
+/// every segment of the round placed on worker 0 of two — so each later
+/// restore re-plants the statics the earlier segments already hold stubs
+/// of.  With `loss`, worker 0 is lost after the first completion and the
+/// rest of the round moves, together, to the one survivor.  Each run must
+/// compute the app's home-only result, exactly once.
+void expect_co_resident_runs_match_home(bool loss) {
+  for (const apps::AppSpec& spec : apps::table1_apps()) {
+    const int64_t want = home_only_result(spec);
+    for (int segments : {2, 3}) {
+      for (int threads : {-1, 1}) {
+        SCOPED_TRACE(spec.name + " segments=" + std::to_string(segments) +
+                     (threads < 0 ? " virtual" : " wall"));
+        RunConfig rc;
+        rc.workers = 2;
+        rc.pin_first = true;
+        rc.segments = segments;
+        if (loss) rc.fail_after = 1;
+        AppOutcome o = run_app(spec, threads, 0, rc);
+        ASSERT_TRUE(o.done);
+        EXPECT_EQ(o.result, want);
+        EXPECT_TRUE(o.exactly_once);
+        int dispatched = 0, failed = 0;
+        for (const auto& [kind, at, round, segment, worker, attempt] : o.log) {
+          if (kind == static_cast<int>(EventKind::SegmentDispatched)) {
+            // First attempts share worker 0; re-dispatches share worker 1.
+            EXPECT_EQ(worker, attempt == 1 ? 0 : 1);
+            ++dispatched;
+          }
+          if (kind == static_cast<int>(EventKind::SegmentFailed)) ++failed;
+        }
+        EXPECT_EQ(dispatched, segments + failed);
+        // The loss really happened: every segment but the first moved.
+        EXPECT_EQ(o.workers_lost, loss ? 1 : 0);
+        EXPECT_EQ(failed, loss ? segments - 1 : 0);
+      }
+    }
+  }
+}
+
+TEST(CoResident, EverySegmentOfARoundOnOneWorkerMatchesTheHomeOnlyRun) {
+  expect_co_resident_runs_match_home(/*loss=*/false);
+}
+
+TEST(CoResident, LosingTheSharedWorkerLeavesTheRoundOnOneSurvivor) {
+  expect_co_resident_runs_match_home(/*loss=*/true);
 }
 
 // ------------------------------------------------------------ home sharding
